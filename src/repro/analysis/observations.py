@@ -10,13 +10,14 @@ workloads and models.  ``verify_all`` is the one-call audit the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from ..gpu.device import Device
 from ..graph import GraphScheduler, TaskGraph, TaskNode, graph_enabled
-from ..kernels.base import Quadrant, Variant, Workload
+from ..kernels.base import (Quadrant, Variant, Workload, install_stats,
+                            stats_node)
 from ..kernels import all_workloads, get_workload
 from ..perf.cache import content_key, default_cache, package_source_token
 from ..perf.executor import ParallelExecutor
@@ -229,11 +230,47 @@ OBSERVATIONS: tuple[Callable, ...] = (
 )
 
 
+#: observations that read the analytic stats of every case; the other
+#: analytic ones read each workload's representative case only
+_EVERY_CASE = (3, 4, 5)
+#: O7, the functional accuracy study, reads no analytic stats
+_FUNCTIONAL = (7,)
+
+
+def _stats_inputs(number: int, workloads: list[Workload]
+                  ) -> list[tuple[Workload, int]]:
+    """The ``(workload, case index)`` of every analytic-stats node
+    observation ``number`` reads, in the order of its node's deps."""
+    if number in _FUNCTIONAL:
+        return []
+    inputs = []
+    for w in workloads:
+        cases = w.cases()
+        if number in _EVERY_CASE:
+            inputs.extend((w, i) for i in range(len(cases)))
+        else:
+            inputs.append((w, cases.index(w.representative_case())))
+    return inputs
+
+
+def _verdict_key(idx: int) -> str:
+    return content_key("observation", package_source_token(), idx + 1,
+                       np.__version__)
+
+
 def _run_observation(task: tuple[int, list[Workload] | None,
-                                 list[Device] | None]) -> ObservationResult:
+                                 list[Device] | None],
+                     *inputs: object) -> ObservationResult:
     """Worker: evaluate one observation by index.  ``None`` workloads or
     devices are reconstructed in-process, so the task pickles cheaply when
     fanned out to the default suite.
+
+    ``inputs`` are the node's dependency values in deps order.  For the
+    analytic observations they are the case stats of
+    :func:`_stats_inputs`, installed into this process's memo before the
+    observation evaluates, so no worker recomputes what a stats node
+    produced.  O7's inputs (the accuracy tables) only order it after the
+    audit; it replays those tables from the result cache.
 
     Default-suite verdicts are content-address cached: every input is
     fixed-seed deterministic and the key carries the whole package source
@@ -246,13 +283,24 @@ def _run_observation(task: tuple[int, list[Workload] | None,
         workloads = all_workloads()
     if devices is None:
         devices = [Device("A100"), Device("H200"), Device("B200")]
+    for (w, index), stats in zip(_stats_inputs(idx + 1, workloads), inputs):
+        install_stats(w, index, stats)
     if not default_suite:
         return OBSERVATIONS[idx](workloads, devices)
-    key = content_key("observation", package_source_token(), idx + 1,
-                      np.__version__)
     return default_cache().get_or_compute(
-        "observation", key,
+        "observation", _verdict_key(idx),
         lambda: OBSERVATIONS[idx](workloads, devices))
+
+
+def _cached_verdicts() -> dict[int, ObservationResult]:
+    """Default-suite verdicts already in the result cache, by number."""
+    cache = default_cache()
+    done = {}
+    for idx in range(len(OBSERVATIONS)):
+        found, value = cache.peek("observation", _verdict_key(idx))
+        if found:
+            done[idx + 1] = value
+    return done
 
 
 def _node_dataset(name: str) -> str:
@@ -269,52 +317,70 @@ def _node_dataset(name: str) -> str:
     return name
 
 
-def _node_accuracy(name: str) -> list:
+def _node_accuracy(name: str, *_warmed: str) -> list:
     """Accuracy-audit node: one workload's Table 6 rows on the H200.
 
-    Content-address cached inside :func:`accuracy_table`, so the O7 node
-    downstream (which calls ``accuracy_tables`` over the whole suite)
-    replays these rows from the cache instead of recomputing them."""
+    Its input, the ``dataset:`` node's value, only orders it after the
+    warm-up.  Content-address cached inside :func:`accuracy_table`, so
+    the O7 node downstream (which calls ``accuracy_tables`` over the
+    whole suite) replays these rows from the cache instead of
+    recomputing them."""
     return accuracy_table(get_workload(name), Device("H200"))
 
 
 def build_observations_graph(workloads: list[Workload] | None = None,
-                             devices: list[Device] | None = None
+                             devices: list[Device] | None = None, *,
+                             numbers: Iterable[int] | None = None
                              ) -> TaskGraph:
     """The observation audit as an explicit dataflow graph.
 
-    For the default suite the audit over-decomposes: per floating-point
-    workload a ``dataset:<name>`` node feeds an ``accuracy:<name>``
-    node, and the nine ``observation:NN`` nodes ride alongside — only
-    O7 (the functional accuracy study) depends on the accuracy nodes;
-    the other eight use analytic stats only and are ready immediately.
-    Dataset generation for workload B therefore overlaps the accuracy
-    audit of workload A *and* the analytic observations of both.
+    Per audited workload and case a ``stats:<workload>:<case>`` node
+    computes the analytic stats once; observations 1-6, 8 and 9 depend
+    on the stats nodes they read (every case for O3-O5, the
+    representative case otherwise) and receive their values as inputs.
 
-    Explicit workload/device lists skip the warm-up spine (their
-    identity is not reliably keyable for the shared caches) and emit
-    the nine observation nodes only.
+    For the default suite the functional audit over-decomposes too: per
+    floating-point workload a ``dataset:<name>`` node feeds an
+    ``accuracy:<name>`` node, and O7 depends on every accuracy node.
+    Dataset generation for workload B therefore overlaps the accuracy
+    audit of workload A *and* the analytic stats of both.  Explicit
+    workload/device lists skip that warm-up spine (their identity is not
+    reliably keyable for the shared caches).
+
+    ``numbers`` limits the graph to those observations and the nodes
+    they read (default: all nine).
     """
+    default_suite = workloads is None and devices is None
+    suite = all_workloads() if workloads is None else workloads
+    if numbers is None:
+        numbers = range(1, len(OBSERVATIONS) + 1)
     g = TaskGraph()
-    obs_deps: tuple[str, ...] = ()
-    if workloads is None and devices is None:
-        fp_names = [w.name for w in all_workloads() if w.floating_point]
-        for name in fp_names:
-            g.add(TaskNode(key=f"dataset:{name}", kind="dataset-gen",
-                           fn=_node_dataset, args=(name,),
-                           label=f"dataset {name}"))
-            g.add(TaskNode(key=f"accuracy:{name}", kind="accuracy-audit",
-                           fn=_node_accuracy, args=(name,),
-                           deps=(f"dataset:{name}",),
-                           label=f"accuracy {name}"))
-        obs_deps = tuple(f"accuracy:{n}" for n in fp_names)
-    for i in range(len(OBSERVATIONS)):
-        g.add(TaskNode(key=f"observation:{i + 1:02d}",
+    for number in sorted(numbers):
+        deps: list[str] = []
+        if number in _FUNCTIONAL and default_suite:
+            for w in suite:
+                if not w.floating_point:
+                    continue
+                g.add(TaskNode(key=f"dataset:{w.name}", kind="dataset-gen",
+                               fn=_node_dataset, args=(w.name,),
+                               label=f"dataset {w.name}"))
+                g.add(TaskNode(key=f"accuracy:{w.name}",
+                               kind="accuracy-audit",
+                               fn=_node_accuracy, args=(w.name,),
+                               deps=(f"dataset:{w.name}",),
+                               label=f"accuracy {w.name}"))
+                deps.append(f"accuracy:{w.name}")
+        for w, index in _stats_inputs(number, suite):
+            node = stats_node(w, index)
+            if node.key not in g:
+                g.add(node)
+            deps.append(node.key)
+        g.add(TaskNode(key=f"observation:{number:02d}",
                        kind="observation-audit",
                        fn=_run_observation,
-                       args=((i, workloads, devices),),
-                       deps=obs_deps if i == 6 else (),
-                       label=f"observation {i + 1}"))
+                       args=((number - 1, workloads, devices),),
+                       deps=tuple(deps),
+                       label=f"observation {number}"))
     return g
 
 
@@ -328,19 +394,26 @@ def verify_all(workloads: list[Workload] | None = None,
     The default path emits the audit as a task graph
     (:func:`build_observations_graph`) and drains it through the
     :class:`~repro.graph.GraphScheduler`, so dataset generation,
-    accuracy audits, and analytic observations overlap instead of
-    running as staged barriers.  ``mode="staged"`` (or ``REPRO_GRAPH=0``,
-    or passing an ``executor``) falls back to the legacy staged fan-out
-    — bit-identical by construction, asserted by ``tests/graph/``.
-    Results are ordered by observation number regardless of mode or
-    ``n_jobs``.
+    accuracy audits, analytic stats and observations overlap instead of
+    running as staged barriers.  For the default suite, verdicts already
+    in the result cache are read first and only the rest enter the
+    graph, so a warm audit computes no stats.  ``mode="staged"`` (or
+    ``REPRO_GRAPH=0``, or passing an ``executor``) falls back to the
+    legacy staged fan-out — bit-identical by construction, asserted by
+    ``tests/graph/``.  Results are ordered by observation number
+    regardless of mode or ``n_jobs``.
     """
     if executor is None and graph_enabled(mode):
-        graph = build_observations_graph(workloads, devices)
+        numbers = range(1, len(OBSERVATIONS) + 1)
         with stage("analysis.verify_all"):
+            done = _cached_verdicts() \
+                if workloads is None and devices is None else {}
+            graph = build_observations_graph(
+                workloads, devices,
+                numbers=[n for n in numbers if n not in done])
             results = GraphScheduler(n_jobs).run(graph)
-        return [results[f"observation:{i + 1:02d}"]
-                for i in range(len(OBSERVATIONS))]
+        return [done[n] if n in done else results[f"observation:{n:02d}"]
+                for n in numbers]
     ex = executor if executor is not None else ParallelExecutor(n_jobs)
     tasks = [(i, workloads, devices) for i in range(len(OBSERVATIONS))]
     with stage("analysis.verify_all"):

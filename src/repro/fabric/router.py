@@ -33,6 +33,7 @@ from typing import Any
 
 from .. import faults
 from ..serve.protocol import (
+    REPLY_MAX_BYTES,
     ProtocolError,
     Response,
     decode_request,
@@ -83,6 +84,10 @@ class RouterConfig:
     route_backoff_s: float = 0.02
 
 
+class ReplyTooLarge(Exception):
+    """A shard reply outgrew :data:`REPLY_MAX_BYTES` (the shard is fine)."""
+
+
 class _ShardLink:
     """One lazily-opened router->shard JSON-lines connection."""
 
@@ -97,7 +102,8 @@ class _ShardLink:
 
     async def _open(self) -> None:
         reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(self.spec.host, self.spec.port),
+            asyncio.open_connection(self.spec.host, self.spec.port,
+                                    limit=REPLY_MAX_BYTES),
             self.connect_timeout_s)
         if self.token is not None:
             writer.write(encode_handshake(self.token).encode())
@@ -117,7 +123,11 @@ class _ShardLink:
         self._reader, self._writer = reader, writer
 
     async def ask(self, line: str) -> str:
-        """Send one request line, await one reply line."""
+        """Send one request line, await one reply line.
+
+        Raises :class:`ReplyTooLarge` when the reply outgrows the stream
+        limit; the rest of that line is still in flight, so the
+        connection is closed (the next ask reopens it)."""
         try:
             if self._writer is None:
                 await self._open()
@@ -128,6 +138,11 @@ class _ShardLink:
             await self._writer.drain()
             reply = await asyncio.wait_for(self._reader.readline(),
                                            self.reply_timeout_s)
+        except ValueError as exc:  # readline: no newline within the limit
+            await self.close()
+            raise ReplyTooLarge(
+                f"shard {self.spec.shard_id} replied with more than "
+                f"{REPLY_MAX_BYTES} bytes") from exc
         except (OSError, asyncio.TimeoutError, ConnectionError):
             await self.close()
             raise
@@ -240,6 +255,16 @@ class FabricRouter:
             for shard_id in candidates:
                 try:
                     reply = await links[shard_id].ask(text)
+                except ReplyTooLarge as exc:
+                    # every owner would give the same oversized answer:
+                    # refuse it in a typed reply, no failover
+                    self.telemetry.inc("errors_total")
+                    self.telemetry.inc("oversized_replies_total")
+                    return encode_response(Response(
+                        id=req.id, ok=False,
+                        error={"code": "reply_too_large",
+                               "message": str(exc)},
+                        served_by=ROUTER_ID, shard_id=ROUTER_ID))
                 except (OSError, ConnectionError,
                         asyncio.TimeoutError) as exc:
                     self._set_down(shard_id, True)

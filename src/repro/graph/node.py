@@ -1,8 +1,8 @@
 """Typed task nodes and the dependency graph they form.
 
 A :class:`TaskNode` is one unit of pipeline work — generate a dataset,
-audit one workload's accuracy, evaluate one observation, resolve one
-perf grid — identified by a ``key`` (the same content-key vocabulary the
+audit one workload's accuracy, evaluate one observation, compute one
+case's analytic stats — identified by a ``key`` (the same content-key vocabulary the
 result cache uses, so a node and its cached artifact name the same
 thing), classified by a ``kind`` (its profiler stage and its bench
 attribution group), and computed by a module-level callable.
@@ -32,9 +32,10 @@ class TaskNode:
     ``fn`` must be a module-level (picklable) callable — the scheduler
     ships nodes to pool workers exactly like
     :class:`~repro.perf.executor.ParallelExecutor` ships chunks.
-    ``deps`` name the keys of nodes that must complete first; ``kind``
-    becomes the node's ``graph/<kind>`` profiler stage and its bench
-    attribution group.
+    ``deps`` name the keys of nodes that must complete first; the
+    scheduler calls ``fn(*args, *inputs)`` with their values as
+    ``inputs``, in ``deps`` order.  ``kind`` becomes the node's
+    ``graph/<kind>`` profiler stage and its bench attribution group.
     """
 
     key: str

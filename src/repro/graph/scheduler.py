@@ -8,6 +8,11 @@ a ready node runs the moment its dependencies complete, so dataset
 generation for workload B overlaps the accuracy audit of workload A and
 the per-observation audit nodes of both.
 
+Edges carry values: every node runs as ``fn(*args, *inputs)``, where
+``inputs`` are the values of its ``deps`` in ``deps`` order — on the
+serial, pooled, exclusive and degrade paths alike — so a consumer gets
+its producers' results instead of recomputing them.
+
 Execution model:
 
 * ``n_jobs <= 1`` (or one node): the serial path — nodes run in-process
@@ -69,6 +74,13 @@ def _exec_node(item: tuple) -> tuple[Any, float]:
         with stage(kind):
             value = fn(*args)
     return value, time.perf_counter() - t0
+
+
+def _call(node: TaskNode, results: dict[str, Any]) -> tuple:
+    """``(fn, args, kind)`` of one node, its deps' values appended to its
+    own args in ``deps`` order."""
+    return (node.fn, node.args + tuple(results[d] for d in node.deps),
+            node.kind)
 
 
 @dataclass
@@ -149,8 +161,10 @@ class GraphScheduler:
         walls: dict[str, float] = {}
         t0 = time.perf_counter()
         if workers <= 1:
-            results = {key: self._run_inline(graph.node(key), walls)
-                       for key in order}
+            results: dict[str, Any] = {}
+            for key in order:
+                results[key] = self._run_inline(graph.node(key), walls,
+                                                results)
         else:
             results = self._run_pooled(graph, order, workers, walls, stats)
         stats.makespan_s = time.perf_counter() - t0
@@ -166,12 +180,13 @@ class GraphScheduler:
         return results
 
     # ---------------------------------------------------------- serial
-    def _run_inline(self, node: TaskNode, walls: dict[str, float]) -> Any:
+    def _run_inline(self, node: TaskNode, walls: dict[str, float],
+                    results: dict[str, Any]) -> Any:
         """Run one node in-process (serial path, exclusive nodes, and the
         degrade fallback).  No fault injection — mirrors the executor's
         serial path, which never self-destructs."""
         try:
-            value, wall = _exec_node((node.fn, node.args, node.kind))
+            value, wall = _exec_node(_call(node, results))
         except Exception as exc:
             raise WorkerTaskError(
                 f"{node.display}: {type(exc).__name__}: {exc}") from exc
@@ -179,10 +194,11 @@ class GraphScheduler:
         return value
 
     # ---------------------------------------------------------- pooled
-    def _payload(self, node: TaskNode, attempt: int) -> tuple:
+    def _payload(self, node: TaskNode, attempt: int,
+                 results: dict[str, Any]) -> tuple:
         hang_s = 2.0 * self.chunk_timeout_s if self.chunk_timeout_s \
             else 2.0
-        return (_exec_node, [(node.fn, node.args, node.kind)],
+        return (_exec_node, [_call(node, results)],
                 [node.display], None, f"graph:{node.key}:{attempt}",
                 hang_s)
 
@@ -228,7 +244,8 @@ class GraphScheduler:
                     stats.retried_nodes += attempts[key] > 0
                     fut = pool.submit(
                         _run_chunk_remote,
-                        self._payload(graph.node(key), attempts[key]))
+                        self._payload(graph.node(key), attempts[key],
+                                      results))
                     inflight[fut] = key
                 if not inflight:
                     if exclusive:
@@ -237,7 +254,7 @@ class GraphScheduler:
                         key = heapq.heappop(exclusive)
                         stats.exclusive_nodes += 1
                         _complete(key, self._run_inline(graph.node(key),
-                                                        walls))
+                                                        walls, results))
                         continue
                     raise RuntimeError(  # pragma: no cover - order() bars
                         "graph stalled: no ready, in-flight, or "
@@ -306,7 +323,8 @@ class GraphScheduler:
             remaining = [k for k in order if k not in results]
             stats.degraded_nodes = len(remaining)
             for key in remaining:
-                _complete(key, self._run_inline(graph.node(key), walls))
+                _complete(key, self._run_inline(graph.node(key), walls,
+                                                results))
         return results
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -5,24 +5,27 @@ it evaluates the analytic model at paper scale for every combination and
 returns structured records the report layer formats into the paper's
 figures.
 
-The grid is embarrassingly parallel, so it routes through
-:class:`~repro.perf.executor.ParallelExecutor`: one task per workload
-evaluates all cases, variants, and devices, with ``analytic_stats``
-hoisted out of the device loop (counters are device-independent — only
-``Device.resolve`` varies per GPU).  Records are reassembled in the
-canonical device-major order, so serial (``n_jobs=1``) and parallel runs
-return identical records in identical order.
+The grid is embarrassingly parallel: one analytic-stats node per
+(workload, case) computes that case's counters for every variant — they
+are device-independent — and the caller resolves them against each
+device's models (:func:`_grid_records`, the one records-from-stats step
+of both execution paths).  Records are reassembled in the canonical
+device-major order, so serial (``n_jobs=1``) and parallel runs return
+identical records in identical order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from ..gpu.counters import KernelStats
 from ..gpu.device import Device
-from ..graph import GraphScheduler, TaskGraph, TaskNode, graph_enabled
-from ..kernels.base import Quadrant, Variant, Workload
+from ..graph import GraphScheduler, TaskGraph, graph_enabled
+from ..kernels.base import (Quadrant, Variant, Workload, case_stats,
+                            install_stats, stats_node)
 from ..kernels import all_workloads
 from ..perf.executor import ParallelExecutor
 from ..perf.instrument import stage
@@ -54,26 +57,22 @@ def default_devices() -> list[Device]:
     return [Device("A100"), Device("H200"), Device("B200")]
 
 
-def _workload_records(task: tuple[Workload, list[Device]]
-                      ) -> list[list[PerfRecord]]:
-    """Evaluate one workload on every device; returns per-device record
-    lists in (case, variant) order.  The analytic counters are computed
-    once per (case, variant) — they are device-independent — and resolved
-    against each device's models."""
-    w, devices = task
-    per_device: list[list[PerfRecord]] = [[] for _ in devices]
-    for case in w.cases():
-        for variant in w.variants():
-            try:
-                stats = w.analytic_stats(variant, case)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"analytic_stats failed for {w.name} "
-                    f"[{variant.value}/{case.label}]") from exc
-            intensity = stats.arithmetic_intensity()
-            for out, dev in zip(per_device, devices):
-                r = dev.resolve(stats)
-                out.append(PerfRecord(
+def _grid_records(cases: list[tuple[Workload, int]],
+                  stats: Sequence[Sequence[KernelStats]],
+                  devices: list[Device]) -> list[PerfRecord]:
+    """Resolve the grid's analytic stats on every device.
+
+    ``stats[j]`` holds one ``KernelStats`` per variant of ``cases[j]`` (a
+    ``(workload, case index)`` pair, in ``variants()`` order).  Records
+    come back device-major: (device, workload, case, variant).
+    """
+    records: list[PerfRecord] = []
+    for dev in devices:
+        for (w, index), per_variant in zip(cases, stats):
+            case = w.cases()[index]
+            for variant, st in zip(w.variants(), per_variant):
+                r = dev.resolve(st)
+                records.append(PerfRecord(
                     gpu=dev.spec.name,
                     workload=w.name,
                     quadrant=w.quadrant,
@@ -84,25 +83,21 @@ def _workload_records(task: tuple[Workload, list[Device]]
                     power_w=r.power_w,
                     energy_j=r.energy_j,
                     bottleneck=r.breakdown.bottleneck,
-                    dram_bytes=stats.dram_bytes,
-                    arithmetic_intensity=intensity,
+                    dram_bytes=st.dram_bytes,
+                    arithmetic_intensity=st.arithmetic_intensity(),
                 ))
-    return per_device
+    return records
 
 
-def build_performance_graph(workloads: list[Workload],
-                            devices: list[Device]) -> TaskGraph:
+def build_performance_graph(workloads: list[Workload]) -> TaskGraph:
     """The paper-scale grid as a task graph: one independent
-    ``perf:<workload>`` node per workload (kind ``perf-grid``), each
-    evaluating all cases, variants, and devices.  No edges — the grid
-    is embarrassingly parallel — but as graph nodes they interleave
-    with whatever else shares the scheduler (e.g. serve's batched
-    queries)."""
+    ``stats:<workload>:<case>`` node per (workload, case), inserted in
+    (workload, case) order.  No edges — the grid is embarrassingly
+    parallel — but as graph nodes they interleave with whatever else
+    shares the scheduler (e.g. serve's batched queries)."""
     g = TaskGraph()
     for w in workloads:
-        g.add(TaskNode(key=f"perf:{w.name}", kind="perf-grid",
-                       fn=_workload_records, args=((w, devices),),
-                       label=f"perf {w.name}"))
+        g.extend([stats_node(w, i) for i in range(len(w.cases()))])
     return g
 
 
@@ -115,31 +110,35 @@ def run_performance(workloads: list[Workload] | None = None,
 
     The default path drains :func:`build_performance_graph` through the
     :class:`~repro.graph.GraphScheduler`; ``mode="staged"``,
-    ``REPRO_GRAPH=0``, or an explicit ``executor`` selects the legacy
-    staged fan-out.  Records come back in device-major order (device,
+    ``REPRO_GRAPH=0``, or an explicit ``executor`` maps the same
+    per-case computation through the legacy staged fan-out.  Stats that
+    pool workers computed are installed into this process's memo, so the
+    roofline/EDP/what-if readers that follow hit it exactly as after a
+    serial run.  Records come back in device-major order (device,
     workload, case, variant) regardless of mode or ``n_jobs``.
     """
     if workloads is None:
         workloads = all_workloads()
     if devices is None:
         devices = default_devices()
-    if executor is None and graph_enabled(mode):
-        graph = build_performance_graph(workloads, devices)
-        with stage("harness.run_performance"):
-            results = GraphScheduler(n_jobs).run(graph)
-        per_workload = [results[f"perf:{w.name}"] for w in workloads]
-    else:
-        ex = executor if executor is not None else ParallelExecutor(n_jobs)
-        with stage("harness.run_performance"):
-            per_workload = ex.map(_workload_records,
-                                  [(w, devices) for w in workloads],
-                                  chunk_size=1,
-                                  labels=[w.name for w in workloads])
-    records: list[PerfRecord] = []
-    for di in range(len(devices)):
-        for wi in range(len(workloads)):
-            records.extend(per_workload[wi][di])
-    return records
+    graph = build_performance_graph(workloads)
+    cases = [node.args for node in graph]
+    with stage("harness.run_performance"):
+        if executor is None and graph_enabled(mode):
+            scheduler = GraphScheduler(n_jobs)
+            results = scheduler.run(graph)
+            stats = [results[node.key] for node in graph]
+            pooled = scheduler.last_stats.workers > 1
+        else:
+            ex = executor if executor is not None \
+                else ParallelExecutor(n_jobs)
+            stats = ex.starmap(case_stats, cases, chunk_size=1,
+                               labels=[node.display for node in graph])
+            pooled = min(ex.n_jobs, len(cases)) > 1
+        if pooled:
+            for (w, index), per_variant in zip(cases, stats):
+                install_stats(w, index, per_variant)
+        return _grid_records(cases, stats, devices)
 
 
 def speedup_summary(records: list[PerfRecord], numerator: Variant,

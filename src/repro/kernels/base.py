@@ -32,17 +32,22 @@ import functools
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Callable, ClassVar, Mapping
+from typing import Any, Callable, ClassVar, Mapping, Sequence
 
 from ..gpu.counters import KernelStats
 from ..gpu.device import Device, KernelResult
+from ..graph.node import TaskNode
 from ..perf.cache import content_key
+from ..perf.instrument import fork_safe_lock, stage
 
 __all__ = [
     "Variant",
     "Quadrant",
     "WorkloadCase",
     "Workload",
+    "case_stats",
+    "install_stats",
+    "stats_node",
     "register_workload",
     "get_workload",
     "all_workloads",
@@ -123,9 +128,18 @@ class WorkloadCase:
 # mutate/merge stats never corrupt the cache.  Bit-identity of memoized vs
 # fresh results is guaranteed by construction (the same object's field
 # values) and asserted in the perf tests.
+#
+# A graph run computes each (workload, case) once, in its analytic-stats
+# node (:func:`stats_node`); values that came back from pool workers are
+# installed into the caller's memo (:func:`install_stats`), so later
+# in-process readers hit it exactly as after a serial run.  Serve's
+# thread-mode pool shares the memo across threads: the lock guards the
+# dict operations only, never the compute, so nested calls cannot
+# deadlock.
 
 _STATS_MEMO: OrderedDict[str, KernelStats] = OrderedDict()
 _STATS_MEMO_MAX = 8192
+_STATS_LOCK = fork_safe_lock()
 
 
 def _copy_stats(st: KernelStats) -> KernelStats:
@@ -133,28 +147,75 @@ def _copy_stats(st: KernelStats) -> KernelStats:
     return replace(st, dram=list(st.dram))
 
 
+def _stats_key(workload: "Workload", variant: "Variant",
+               case: "WorkloadCase") -> str | None:
+    """The memo key of one triple, or None for unkeyable state."""
+    try:
+        return content_key(type(workload).__qualname__,
+                           dict(workload._memo_state()),
+                           variant, case.label, dict(case.params))
+    except TypeError:
+        return None
+
+
+def _memo_store(key: str, st: KernelStats) -> None:
+    with _STATS_LOCK:
+        _STATS_MEMO[key] = st
+        _STATS_MEMO.move_to_end(key)
+        while len(_STATS_MEMO) > _STATS_MEMO_MAX:
+            _STATS_MEMO.popitem(last=False)
+
+
 def _memoize_stats(impl: Callable[..., KernelStats]
                    ) -> Callable[..., KernelStats]:
     @functools.wraps(impl)
     def wrapper(self: "Workload", variant: "Variant",
                 case: "WorkloadCase") -> KernelStats:
-        try:
-            key = content_key(type(self).__qualname__,
-                              dict(self._memo_state()),
-                              variant, case.label, dict(case.params))
-        except TypeError:   # unkeyable workload/case state: just compute
-            return impl(self, variant, case)
-        hit = _STATS_MEMO.get(key)
+        key = _stats_key(self, variant, case)
+        with _STATS_LOCK:
+            hit = None if key is None else _STATS_MEMO.get(key)
         if hit is None:
-            hit = impl(self, variant, case)
-            _STATS_MEMO[key] = hit
-            _STATS_MEMO.move_to_end(key)
-            while len(_STATS_MEMO) > _STATS_MEMO_MAX:
-                _STATS_MEMO.popitem(last=False)
+            # every miss runs under this stage, so the miss count
+            # survives the merge of pool-worker registries
+            with stage("kernels.analytic_stats"):
+                hit = impl(self, variant, case)
+            if key is None:   # unkeyable workload/case state
+                return hit
+            _memo_store(key, hit)
         return _copy_stats(hit)
 
     wrapper._stats_memoized = True  # type: ignore[attr-defined]
     return wrapper
+
+
+def install_stats(workload: "Workload", index: int,
+                  stats: Sequence[KernelStats]) -> None:
+    """Seed this process's memo with the value of a :func:`stats_node`
+    computed elsewhere (``stats[i]`` belongs to ``workload.variants()[i]``
+    on case ``index``)."""
+    case = workload.cases()[index]
+    for variant, st in zip(workload.variants(), stats):
+        key = _stats_key(workload, variant, case)
+        if key is not None:
+            _memo_store(key, st)
+
+
+def case_stats(workload: "Workload", index: int
+               ) -> tuple[KernelStats, ...]:
+    """The analytic-stats node callable: case ``index``'s stats for every
+    variant, in ``workload.variants()`` order."""
+    case = workload.cases()[index]
+    return tuple(workload.analytic_stats(v, case)
+                 for v in workload.variants())
+
+
+def stats_node(workload: "Workload", index: int) -> TaskNode:
+    """The graph node ``stats:<workload>:<case index>`` — the one place a
+    graph run computes a case's analytic stats (:func:`case_stats`)."""
+    return TaskNode(key=f"stats:{workload.name}:{index}",
+                    kind="analytic-stats", fn=case_stats,
+                    args=(workload, index),
+                    label=f"stats {workload.name} case {index}")
 
 
 class Workload(abc.ABC):

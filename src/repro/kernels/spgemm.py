@@ -72,14 +72,11 @@ def accumulate_sequential(keys: np.ndarray, vals: np.ndarray
     if len(keys) == 0:
         return keys, vals
     uniq_mask = np.r_[True, keys[1:] != keys[:-1]]
-    group = np.cumsum(uniq_mask) - 1
-    n_groups = int(group[-1]) + 1
-    out = np.zeros(n_groups)
-    # np.add.at applies the unbuffered updates index-by-index in argument
-    # order, which for sorted keys is exactly the first-to-last sequential
+    # bincount adds each value into its group in argument order from 0.0,
+    # which for sorted keys is exactly the first-to-last sequential
     # accumulation per group (bit-identical to an explicit Python loop,
     # unlike add.reduceat's pairwise summation).
-    np.add.at(out, group, vals)
+    out = np.bincount(np.cumsum(uniq_mask) - 1, weights=vals)
     return keys[uniq_mask], out
 
 

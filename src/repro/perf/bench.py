@@ -91,10 +91,11 @@ PROFILE_GROUPS: tuple[tuple[str, tuple[str, ...]], ...] = (
                         "accuracy-audit")),
     ("observation-audit", ("verify.", "analysis.verify_all",
                            "observation-audit")),
+    ("analytic-stats", ("analytic-stats", "kernels.analytic_stats")),
     ("refinement", ("refine.",)),
     ("ozaki", ("ozaki.",)),
     ("analysis", ("analysis.",)),
-    ("harness", ("harness.", "perf-grid")),
+    ("harness", ("harness.",)),
     ("graph", ("graph",)),
     ("startup", ("cli.startup",)),
 )

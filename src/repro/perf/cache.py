@@ -56,6 +56,7 @@ except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None  # type: ignore[assignment]
 
 from .. import faults
+from .instrument import fork_safe_lock
 
 __all__ = [
     "CacheStats",
@@ -88,6 +89,11 @@ _QUARANTINE_KEEP = 32
 #: orphaned ``*.tmp`` files (a writer died mid-write) older than this are
 #: swept during pruning; young ones may still be racing toward os.replace
 _STALE_TMP_S = 3600.0
+
+#: guards the memory tiers' dict operations (serve's thread-mode pool
+#: shares caches across threads) — never a compute, so a compute that
+#: reads the cache again cannot deadlock
+_MEMORY_LOCK = fork_safe_lock()
 
 
 def _seal(payload: bytes) -> bytes:
@@ -436,11 +442,20 @@ class ResultCache:
         self._pending_ledger.pop(rel, None)
         self._pending_drops.add(rel)
 
+    def _memory_get(self, key: str) -> tuple[bool, Any]:
+        with _MEMORY_LOCK:
+            if key not in self._memory:
+                return False, None
+            self.stats.memory_hits += 1
+            self._memory.move_to_end(key)
+            return True, self._memory[key]
+
     def _memory_put(self, key: str, value: Any) -> None:
-        self._memory[key] = value
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.memory_items:
-            self._memory.popitem(last=False)
+        with _MEMORY_LOCK:
+            self._memory[key] = value
+            self._memory.move_to_end(key)
+            while len(self._memory) > self.memory_items:
+                self._memory.popitem(last=False)
 
     def _quarantine(self, path: Path) -> None:
         """Park a corrupt entry under ``_quarantine/`` for post-mortem.
@@ -529,10 +544,9 @@ class ResultCache:
                        compute: Callable[[], T]) -> T:
         """Return the cached value for ``(kind, key)``, computing on miss."""
         mem_key = f"{kind}/{key}"
-        if mem_key in self._memory:
-            self.stats.memory_hits += 1
-            self._memory.move_to_end(mem_key)
-            return self._memory[mem_key]
+        found, value = self._memory_get(mem_key)
+        if found:
+            return value
         path = self._entry_path(kind, key)
         found, value = self._disk_load(path)
         if found:
@@ -554,10 +568,9 @@ class ResultCache:
         answer may not be worth computing synchronously here).
         """
         mem_key = f"{kind}/{key}"
-        if mem_key in self._memory:
-            self.stats.memory_hits += 1
-            self._memory.move_to_end(mem_key)
-            return True, self._memory[mem_key]
+        found, value = self._memory_get(mem_key)
+        if found:
+            return True, value
         found, value = self._disk_load(self._entry_path(kind, key))
         if found:
             self.stats.disk_hits += 1
@@ -578,7 +591,8 @@ class ResultCache:
 
     def clear_memory(self) -> None:
         """Drop the in-memory tier (the disk tier is untouched)."""
-        self._memory.clear()
+        with _MEMORY_LOCK:
+            self._memory.clear()
 
     # ------------------------------------------------------------- pruning
     def _disk_entries(self) -> list[tuple[Path, int, float]]:

@@ -22,6 +22,7 @@ which merges them under the stage active at the call site via
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from contextlib import contextmanager
@@ -31,7 +32,7 @@ __all__ = ["StageTiming", "stage", "record_stage", "stage_timings",
            "reset_stage_timings", "reset_stage_stack",
            "snapshot_stage_timings", "merge_stage_timings",
            "current_stage_path", "note_worker_count", "note_graph_run",
-           "stage_meta", "SEP"]
+           "stage_meta", "fork_safe_lock", "SEP"]
 
 #: path separator between nested stage names (stage names must not use it)
 SEP = "/"
@@ -60,9 +61,22 @@ class StageTiming:
         return self.name.count(SEP)
 
 
+def fork_safe_lock() -> threading.Lock:
+    """A lock for state shared by serve's threads.  Pool workers are
+    forked, and a fork waits for the lock, so no child inherits it held
+    by a thread that does not exist in the child."""
+    lock = threading.Lock()
+    os.register_at_fork(before=lock.acquire, after_in_parent=lock.release,
+                        after_in_child=lock.release)
+    return lock
+
+
 _REGISTRY: dict[str, StageTiming] = {}
 #: run metadata the executor annotates (e.g. the effective worker count)
 _META: dict[str, object] = {}
+# serve's thread-mode pool records stages from many threads: the lock
+# makes each registry update whole (a float ``+=`` is not atomic)
+_LOCK = fork_safe_lock()
 # the nesting stack is per-thread (the serve pool runs queries on
 # threads); each frame is [name, child_seconds_accumulator]
 _LOCAL = threading.local()
@@ -88,12 +102,14 @@ def record_stage(name: str, seconds: float,
     Direct calls (no active :func:`stage` scope) count the whole span as
     self time.
     """
-    entry = _REGISTRY.get(name)
-    if entry is None:
-        entry = _REGISTRY[name] = StageTiming(name)
-    entry.seconds += seconds
-    entry.self_seconds += seconds if self_seconds is None else self_seconds
-    entry.calls += calls
+    with _LOCK:
+        entry = _REGISTRY.get(name)
+        if entry is None:
+            entry = _REGISTRY[name] = StageTiming(name)
+        entry.seconds += seconds
+        entry.self_seconds += seconds if self_seconds is None \
+            else self_seconds
+        entry.calls += calls
 
 
 @contextmanager
@@ -120,13 +136,16 @@ def stage(name: str):
 
 def stage_timings() -> list[StageTiming]:
     """All recorded stages in first-recorded order."""
-    return list(_REGISTRY.values())
+    with _LOCK:
+        return list(_REGISTRY.values())
 
 
 def snapshot_stage_timings() -> list[dict]:
     """The registry as plain dicts (picklable; worker -> parent hand-off)."""
-    return [{"name": t.name, "seconds": t.seconds, "calls": t.calls,
-             "self_seconds": t.self_seconds} for t in _REGISTRY.values()]
+    with _LOCK:
+        return [{"name": t.name, "seconds": t.seconds, "calls": t.calls,
+                 "self_seconds": t.self_seconds}
+                for t in _REGISTRY.values()]
 
 
 def merge_stage_timings(records: list[dict], prefix: str | None = None) -> None:
@@ -155,7 +174,8 @@ def merge_stage_timings(records: list[dict], prefix: str | None = None) -> None:
 
 def note_worker_count(n: int) -> None:
     """Record the widest effective fan-out of the run (``--timings``)."""
-    _META["max_workers"] = max(int(n), int(_META.get("max_workers", 0)))
+    with _LOCK:
+        _META["max_workers"] = max(int(n), int(_META.get("max_workers", 0)))
 
 
 def note_graph_run(nodes: int, node_wall_s: float, makespan_s: float, *,
@@ -170,29 +190,32 @@ def note_graph_run(nodes: int, node_wall_s: float, makespan_s: float, *,
     it (the ``min_overlap_ratio`` budget applies only to multi-worker
     runs — a serial schedule cannot overlap).
     """
-    g = _META.get("graph")
-    if not isinstance(g, dict):
-        g = _META["graph"] = {"runs": 0, "nodes": 0, "workers": 1,
-                              "node_wall_s": 0.0, "makespan_s": 0.0,
-                              "overlap_ratio": 1.0}
-    g["runs"] += 1
-    g["nodes"] += int(nodes)
-    g["workers"] = max(int(workers), g["workers"])
-    g["node_wall_s"] = round(g["node_wall_s"] + float(node_wall_s), 6)
-    g["makespan_s"] = round(g["makespan_s"] + float(makespan_s), 6)
-    g["overlap_ratio"] = round(g["node_wall_s"] / g["makespan_s"], 3) \
-        if g["makespan_s"] > 0 else 1.0
+    with _LOCK:
+        g = _META.get("graph")
+        if not isinstance(g, dict):
+            g = _META["graph"] = {"runs": 0, "nodes": 0, "workers": 1,
+                                  "node_wall_s": 0.0, "makespan_s": 0.0,
+                                  "overlap_ratio": 1.0}
+        g["runs"] += 1
+        g["nodes"] += int(nodes)
+        g["workers"] = max(int(workers), g["workers"])
+        g["node_wall_s"] = round(g["node_wall_s"] + float(node_wall_s), 6)
+        g["makespan_s"] = round(g["makespan_s"] + float(makespan_s), 6)
+        g["overlap_ratio"] = round(g["node_wall_s"] / g["makespan_s"], 3) \
+            if g["makespan_s"] > 0 else 1.0
 
 
 def stage_meta() -> dict[str, object]:
     """Run metadata recorded alongside the stage registry."""
-    return dict(_META)
+    with _LOCK:
+        return dict(_META)
 
 
 def reset_stage_timings() -> None:
     """Clear the registry (tests and repeated in-process runs)."""
-    _REGISTRY.clear()
-    _META.clear()
+    with _LOCK:
+        _REGISTRY.clear()
+        _META.clear()
 
 
 def reset_stage_stack() -> None:

@@ -44,6 +44,7 @@ __all__ = [
     "HANDSHAKE_MAX_BYTES",
     "HANDSHAKE_VERSION",
     "PROTOCOL_VERSION",
+    "REPLY_MAX_BYTES",
     "ProtocolError",
     "QUERY_KINDS",
     "Request",
@@ -68,6 +69,11 @@ HANDSHAKE_VERSION = 1
 #: refused before being inspected further
 HANDSHAKE_MAX_BYTES = 4096
 
+#: the largest reply line a fabric router relays: a whole-suite ``perf``
+#: answer on every GPU is ~160 KB, so this leaves wide headroom while
+#: still bounding what one reply may buffer
+REPLY_MAX_BYTES = 4 << 20
+
 #: every error code a response may carry
 ERROR_CODES = frozenset({
     "bad_request",       # unparseable line / malformed envelope
@@ -82,6 +88,7 @@ ERROR_CODES = frozenset({
     "auth_required",     # token-protected server: no handshake yet
     "bad_token",         # handshake carried a wrong/ill-formed token
     "shard_unavailable", # router: no shard could answer (all owners down)
+    "reply_too_large",   # router: a shard reply exceeds REPLY_MAX_BYTES
     "conn_dropped",      # client-side: the connection died mid-query
                          # (never sent by the server; raised locally by
                          # ServeClient, and retried when retries remain)

@@ -85,7 +85,7 @@ def resolve_perf_batch(param_sets: Sequence[Mapping[str, Any]],
 
     The union of the queries' workloads (suite order; ``None`` means the
     whole suite) is evaluated once as a single task graph (one
-    ``perf-grid`` node per workload, drained by the
+    ``analytic-stats`` node per workload and case, drained by the
     :class:`~repro.graph.GraphScheduler`), then each query's records are
     re-sliced in the device-major, requested-workload order a direct
     :func:`run_performance` call returns — the splitting is pure

@@ -71,8 +71,7 @@ class BitmapGraph:
         tile_cblock = cb[order][uniq] if n_tiles else np.empty(0, np.int64)
         n_cblocks = (n + TILE_COLS - 1) // TILE_COLS
         cblock_ptr = np.zeros(n_cblocks + 1, dtype=np.int64)
-        if n_tiles:
-            np.add.at(cblock_ptr, tile_cblock + 1, 1)
+        cblock_ptr[1:] = np.bincount(tile_cblock, minlength=n_cblocks)
         np.cumsum(cblock_ptr, out=cblock_ptr)
         return cls(n=n, tile_slice=tile_slice, tile_cblock=tile_cblock,
                    tiles=tiles, cblock_ptr=cblock_ptr, n_edges=len(src))

@@ -52,7 +52,13 @@ class CsrMatrix:
     def from_coo(cls, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
                  shape: tuple[int, int], *, sum_duplicates: bool = True
                  ) -> "CsrMatrix":
-        """Build from COO triplets; duplicates are summed by default."""
+        """Build from COO triplets; duplicates are summed by default.
+
+        One stable sort of the fused ``row * n_cols + col`` key orders the
+        entries row-major, duplicates keeping their input order.
+        ``bincount`` then sums duplicates and counts row lengths; it adds
+        in index order from 0.0, exactly as ``np.add.at`` would.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
@@ -63,18 +69,19 @@ class CsrMatrix:
             raise ValueError("row index out of range")
         if len(cols) and (cols.min() < 0 or cols.max() >= n_cols):
             raise ValueError("column index out of range")
-        order = np.lexsort((cols, rows))
+        # the fused keys run up to n_rows * n_cols - 1
+        if int(n_rows) * int(n_cols) - 1 > np.iinfo(np.int64).max:
+            raise ValueError(f"shape {shape} overflows the int64 entry key")
+        keys = rows * np.int64(n_cols) + cols
+        order = np.argsort(keys, kind="stable")
         rows, cols, vals = rows[order], cols[order], vals[order]
         if sum_duplicates and len(rows):
-            keys = rows * np.int64(n_cols) + cols
-            uniq, inverse = np.unique(keys, return_inverse=True)
-            summed = np.zeros(len(uniq))
-            np.add.at(summed, inverse, vals)
-            rows = (uniq // n_cols).astype(np.int64)
-            cols = (uniq % n_cols).astype(np.int64)
-            vals = summed
+            keys = keys[order]
+            first = np.r_[True, keys[1:] != keys[:-1]]
+            vals = np.bincount(np.cumsum(first) - 1, weights=vals)
+            rows, cols = rows[first], cols[first]
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
+        indptr[1:] = np.bincount(rows, minlength=n_rows)
         np.cumsum(indptr, out=indptr)
         return cls(indptr, cols, vals, shape)
 

@@ -318,7 +318,7 @@ class TestWholeRepo:
         cache_mods = {e["module"] for e in facts["cache_values"]}
         assert "analysis/observations.py" in cache_mods
         pool_targets = {e["target"] for e in facts["pool_dispatch"]}
-        assert "harness/runner.py::_workload_records" in pool_targets
+        assert "kernels/base.py::case_stats" in pool_targets
         serve_fns = {e["function"] for e in facts["serve_payloads"]}
         assert "serve/queries.py::_resolve_perf" in serve_fns
         key_fns = {(e["module"], e["function"])
@@ -401,7 +401,7 @@ class TestR009GraphNodeAmbient:
         assert {"analysis/observations.py::_node_dataset",
                 "analysis/observations.py::_node_accuracy",
                 "analysis/observations.py::_run_observation",
-                "harness/runner.py::_workload_records",
+                "kernels/base.py::case_stats",
                 "harness/sweep.py::_sweep_size"} <= targets
         for e in facts["graph_nodes"]:
             assert e["ambient"] == [] and e["tainted"] == [], e

@@ -12,8 +12,11 @@ import time
 
 import pytest
 
+from repro.fabric import router as router_module
 from repro.fabric.cluster import HostedFabric
 from repro.serve import ProtocolError, ServeClient, ServeConnectionError
+from repro.serve.protocol import normalize_params
+from repro.serve.queries import resolve_query
 
 
 def make_fabric(**kwargs):
@@ -110,6 +113,39 @@ class TestFailover:
         assert not resp.ok
         assert resp.error["code"] == "shard_unavailable"
         assert resp.shard_id == "router"
+
+
+class TestLargeReplies:
+    @pytest.mark.slow
+    def test_whole_suite_perf_through_two_shards_equals_direct(self):
+        direct = resolve_query("perf", normalize_params("perf", {}))
+        with HostedFabric(2, probe_interval_s=0.1,
+                          shard_workers=1) as fabric:
+            host, port = fabric.address
+            with ServeClient(host, port, timeout_s=300) as client:
+                resp = client.query("perf", {})
+        assert resp.ok, resp.error
+        # past asyncio's default 64 KiB line limit the router once dropped
+        assert len(json.dumps(resp.result)) > 64 * 1024
+        assert json.dumps(resp.result, sort_keys=True) \
+            == json.dumps(direct, sort_keys=True)
+
+    def test_over_limit_reply_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(router_module, "REPLY_MAX_BYTES", 1024)
+        with make_fabric() as fabric:
+            host, port = fabric.address
+            with ServeClient(host, port) as client:
+                big = client.query("perf", {"workloads": ["gemm"]})
+                after = client.query("quadrant", {"workload": "gemm"})
+                metrics = client.query("metrics")
+        assert not big.ok
+        assert big.error["code"] == "reply_too_large"
+        assert big.shard_id == "router"
+        # the client connection survives and the shard link reopens
+        assert after.ok
+        counters = metrics.result["router"]["counters"]
+        assert counters.get("failover_replays_total", 0) == 0
+        assert counters["oversized_replies_total"] == 1
 
 
 class TestAuth:

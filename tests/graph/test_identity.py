@@ -23,6 +23,7 @@ from repro.kernels import (
     ReductionWorkload,
     ScanWorkload,
     SpmvWorkload,
+    all_workloads,
     get_workload,
 )
 
@@ -46,13 +47,35 @@ class TestObservationsIdentity:
         assert fallback == verify_all(FAST_WL, DEVICES, mode="staged")
 
 
+def _stats_keys(workloads, every_case):
+    """The stats-node deps of one analytic observation, in deps order."""
+    keys = []
+    for w in workloads:
+        cases = w.cases()
+        indices = range(len(cases)) if every_case \
+            else [cases.index(w.representative_case())]
+        keys.extend(f"stats:{w.name}:{i}" for i in indices)
+    return keys
+
+
 class TestObservationsGraphShape:
-    def test_subset_graph_is_observation_only(self):
+    def test_subset_graph_wires_stats_nodes(self):
         g = build_observations_graph(FAST_WL, DEVICES)
-        keys = sorted(n.key for n in g)
-        assert keys == [f"observation:{i:02d}"
-                        for i in range(1, len(OBSERVATIONS) + 1)]
-        assert all(n.deps == () for n in g)
+        stats = sorted(n.key for n in g if n.kind == "analytic-stats")
+        assert stats == sorted(_stats_keys(FAST_WL, every_case=True))
+        observations = sorted(n.key for n in g
+                              if n.kind == "observation-audit")
+        assert observations == [f"observation:{i:02d}"
+                                for i in range(1, len(OBSERVATIONS) + 1)]
+        assert len(g) == len(stats) + len(observations)
+        # no warm-up spine for explicit lists: O7 runs free
+        assert g.node("observation:07").deps == ()
+        for i in (3, 4, 5):
+            assert g.node(f"observation:{i:02d}").deps == tuple(
+                _stats_keys(FAST_WL, every_case=True))
+        for i in (1, 2, 6, 8, 9):
+            assert g.node(f"observation:{i:02d}").deps == tuple(
+                _stats_keys(FAST_WL, every_case=False))
 
     def test_full_graph_wires_datasets_accuracy_observations(self):
         g = build_observations_graph()
@@ -64,12 +87,27 @@ class TestObservationsGraphShape:
             name = k.split(":", 1)[1]
             assert g.node(k).deps == (f"dataset:{name}",)
         # observation 7 (Table 6 fidelity) consumes every accuracy audit;
-        # the other eight run free
+        # the other eight consume the stats nodes of the whole suite
         o7 = g.node("observation:07")
         assert sorted(o7.deps) == sorted(audits)
-        for i in (1, 2, 3, 4, 5, 6, 8, 9):
-            assert g.node(f"observation:{i:02d}").deps == ()
+        suite = all_workloads()
+        stats = [k for k, kind in kinds.items() if kind == "analytic-stats"]
+        assert sorted(stats) == sorted(_stats_keys(suite, every_case=True))
+        for i in (3, 4, 5):
+            assert g.node(f"observation:{i:02d}").deps == tuple(
+                _stats_keys(suite, every_case=True))
+        for i in (1, 2, 6, 8, 9):
+            assert g.node(f"observation:{i:02d}").deps == tuple(
+                _stats_keys(suite, every_case=False))
         g.order()  # and the whole thing is a valid DAG
+
+    def test_numbers_limit_the_graph_to_what_they_read(self):
+        g = build_observations_graph(numbers=[1])
+        assert sorted(n.kind for n in g) == \
+            ["analytic-stats"] * len(all_workloads()) + ["observation-audit"]
+        g = build_observations_graph(numbers=[7])
+        assert {n.kind for n in g} == {"dataset-gen", "accuracy-audit",
+                                       "observation-audit"}
 
     def test_accuracy_node_matches_direct_call(self):
         """The graph's accuracy node is the same computation the staged

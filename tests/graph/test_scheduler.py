@@ -31,8 +31,9 @@ def _square(x):
     return x * x
 
 
-def _tag(key, base):
-    return f"{key}:{base * 2}"
+def _tag(key, base, *inputs):
+    """Its dep values, if any, arrive after its own args, in deps order."""
+    return f"{key}:{base * 2}" + "".join(f"<{v}" for v in inputs)
 
 
 def _boom(x):
@@ -54,8 +55,27 @@ def _chain_graph(n=12):
 def _expected(n=12):
     out = {f"sq:{i:02d}": i * i for i in range(n)}
     out["tag:a"] = "a:6"
-    out["tag:b"] = "b:8"
+    out["tag:b"] = "b:8<a:6<0"  # deps ("tag:a", "sq:00")
     return out
+
+
+def _collect(tag, *inputs):
+    return (tag, inputs)
+
+
+def fan_in_graph(fn=_collect):
+    """Three producers and one consumer whose deps are not in key order."""
+    g = TaskGraph()
+    for k in ("a", "b", "c"):
+        g.add(TaskNode(key=f"p:{k}", kind="produce", fn=fn, args=(k,)))
+    g.add(TaskNode(key="q", kind="consume", fn=fn, args=("q",),
+                   deps=("p:c", "p:a", "p:b")))
+    return g
+
+
+#: what every execution path must return for :func:`fan_in_graph`
+FAN_IN = {"p:a": ("a", ()), "p:b": ("b", ()), "p:c": ("c", ()),
+          "q": ("q", (("c", ()), ("a", ()), ("b", ())))}
 
 
 class _KindPolicy(ConcurrencyPolicy):
@@ -94,6 +114,25 @@ class TestDeterminism:
 
     def test_empty_graph(self):
         assert GraphScheduler(4).run(TaskGraph()) == {}
+
+
+class TestEdgeValues:
+    """Every node runs as ``fn(*args, *inputs)``: its deps' values, in
+    ``deps`` order (crash-retry and degrade: test_scheduler_faults)."""
+
+    def test_serial_path(self):
+        assert GraphScheduler(1).run(fan_in_graph()) == FAN_IN
+
+    def test_pooled_path(self):
+        sched = GraphScheduler(2, max_retries=2, backoff_base_s=0.01)
+        assert sched.run(fan_in_graph()) == FAN_IN
+        assert sched.last_stats.workers == 2
+
+    def test_exclusive_path(self):
+        sched = GraphScheduler(2, policy=_KindPolicy({"consume"}),
+                               max_retries=2, backoff_base_s=0.01)
+        assert sched.run(fan_in_graph()) == FAN_IN
+        assert sched.last_stats.exclusive_nodes == 1
 
 
 class TestPolicy:

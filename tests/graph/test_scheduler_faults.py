@@ -18,6 +18,8 @@ from repro import faults
 from repro.graph import GraphScheduler, TaskGraph, TaskNode
 from repro.perf.executor import WorkerTaskError
 
+from .test_scheduler import FAN_IN, fan_in_graph
+
 
 @pytest.fixture(autouse=True)
 def _clean_plan(monkeypatch):
@@ -55,6 +57,13 @@ class _CrashOnceNode:
         with open(self.log, "a") as fh:
             fh.write(f"{x}\n")
         return x * x
+
+
+def _collect_in_parent(tag, *inputs):
+    """Dies abruptly in any pool worker; collects its inputs otherwise."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(22)
+    return (tag, inputs)
 
 
 def _graph(fn, n=8):
@@ -122,6 +131,22 @@ class TestSerialDegrade:
         stats = sched.last_stats
         assert stats.failed_rounds >= 1
         assert stats.degraded_nodes >= 1
+
+
+class TestEdgeValuesUnderFaults:
+    """Dep values reach their consumer in ``deps`` order however many
+    pool rounds the run takes."""
+
+    def test_crash_retry_path(self):
+        faults.install_plan("executor.worker_crash=0.5,seed=3")
+        sched = GraphScheduler(2, max_retries=8, backoff_base_s=0.01)
+        assert sched.run(fan_in_graph()) == FAN_IN
+        assert sched.last_stats.retried_nodes >= 1
+
+    def test_degrade_path(self):
+        sched = GraphScheduler(2, max_retries=1, backoff_base_s=0.01)
+        assert sched.run(fan_in_graph(_collect_in_parent)) == FAN_IN
+        assert sched.last_stats.degraded_nodes == len(FAN_IN)
 
 
 class TestDeterministicErrors:

@@ -70,6 +70,18 @@ class TestGroupStages:
                           "model-resolve": 0.25, "dataset-gen": 4.0,
                           "misc": 0.5}
 
+    def test_stats_nodes_and_misses_form_their_own_group(self):
+        node = "harness.run_performance/graph/analytic-stats"
+        stages = {
+            node: {"seconds": 3.0, "self_seconds": 0.5, "calls": 50},
+            f"{node}/kernels.analytic_stats":
+                {"seconds": 2.5, "self_seconds": 2.0, "calls": 190},
+            f"{node}/kernels.analytic_stats/model-resolve":
+                {"seconds": 0.5, "calls": 10},
+        }
+        assert _group_stages(stages) == {"analytic-stats": 2.5,
+                                         "model-resolve": 0.5}
+
     def test_self_seconds_preferred_and_other_is_wall_remainder(self):
         stages = {
             "analysis.verify_all":

@@ -6,6 +6,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernels.spgemm import accumulate_sequential
+from repro.sparse.bitmap import BitmapGraph
 from repro.sparse.csr import CsrMatrix
 
 
@@ -58,6 +60,103 @@ class TestConstruction:
         a = CsrMatrix.from_coo([0, 0, 2], [0, 1, 2], [1, 1, 1], (3, 3))
         np.testing.assert_array_equal(a.row_lengths(), [2, 0, 1])
         np.testing.assert_array_equal(a.row_of_entry(), [0, 0, 2])
+
+
+def _from_coo_reference(rows, cols, vals, shape, sum_duplicates=True):
+    """The lexsort + unique + ``np.add.at`` construction ``from_coo``
+    replaced, kept as the bit-identity reference."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.float64)
+    n_rows, n_cols = shape
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if sum_duplicates and len(rows):
+        keys = rows * np.int64(n_cols) + cols
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        summed = np.zeros(len(uniq))
+        np.add.at(summed, inverse, vals)
+        rows = (uniq // n_cols).astype(np.int64)
+        cols = (uniq % n_cols).astype(np.int64)
+        vals = summed
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.add.at(indptr, rows + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, cols, vals
+
+
+def _assert_same_bits(a, ref):
+    indptr, indices, data = ref
+    np.testing.assert_array_equal(a.indptr, indptr)
+    np.testing.assert_array_equal(a.indices, indices)
+    assert a.data.dtype == data.dtype == np.float64
+    # compare bit patterns: -0.0 vs 0.0 and summation order both show
+    np.testing.assert_array_equal(a.data.view(np.uint64),
+                                  data.view(np.uint64))
+
+
+class TestFromCooMatchesReference:
+    CASES = {
+        "duplicates": ([0, 0, 1, 0], [1, 1, 0, 1], [1e16, 1.0, 5.0, -1e16],
+                       (2, 2)),
+        "unsorted": ([3, 0, 2, 0, 3], [1, 2, 0, 0, 0],
+                     [1.0, 2.0, 3.0, 4.0, 5.0], (4, 3)),
+        "negative zero": ([1, 1, 0], [0, 0, 2], [-0.0, -0.0, -0.0], (2, 3)),
+        "empty": ([], [], [], (3, 4)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("sum_duplicates", [True, False])
+    def test_bit_identical(self, name, sum_duplicates):
+        rows, cols, vals, shape = self.CASES[name]
+        a = CsrMatrix.from_coo(rows, cols, vals, shape,
+                               sum_duplicates=sum_duplicates)
+        _assert_same_bits(a, _from_coo_reference(rows, cols, vals, shape,
+                                                 sum_duplicates))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_property_random_duplicates(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 300))
+        shape = (int(rng.integers(1, 12)), int(rng.integers(1, 12)))
+        rows = rng.integers(0, shape[0], n)
+        cols = rng.integers(0, shape[1], n)
+        vals = rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-8, 9, n)
+        _assert_same_bits(CsrMatrix.from_coo(rows, cols, vals, shape),
+                          _from_coo_reference(rows, cols, vals, shape))
+
+    def test_key_overflow_raises(self):
+        with pytest.raises(ValueError, match="overflows"):
+            CsrMatrix.from_coo([0], [0], [1.0], (2 ** 32, 2 ** 32))
+
+
+class TestOtherScatterAdds:
+    def test_accumulate_sequential_matches_add_at(self):
+        rng = np.random.default_rng(5)
+        keys = np.sort(rng.integers(0, 40, 500))
+        vals = rng.uniform(-1, 1, 500) * 10.0 ** rng.integers(-8, 9, 500)
+        vals[::7] = -0.0
+        uniq, out = accumulate_sequential(keys, vals)
+        first = np.r_[True, keys[1:] != keys[:-1]]
+        ref = np.zeros(int(first.sum()))
+        np.add.at(ref, np.cumsum(first) - 1, vals)
+        np.testing.assert_array_equal(uniq, keys[first])
+        np.testing.assert_array_equal(out.view(np.uint64),
+                                      ref.view(np.uint64))
+        empty_keys, empty_vals = accumulate_sequential(
+            np.empty(0, np.int64), np.empty(0))
+        assert len(empty_keys) == len(empty_vals) == 0
+
+    @pytest.mark.parametrize("n_edges", [0, 1, 400])
+    def test_bitmap_cblock_ptr_counts_tiles(self, n_edges):
+        rng = np.random.default_rng(n_edges)
+        n = 700
+        g = BitmapGraph.from_edges(rng.integers(0, n, n_edges),
+                                   rng.integers(0, n, n_edges), n)
+        ref = np.zeros(g.n_cblocks + 1, dtype=np.int64)
+        np.add.at(ref, g.tile_cblock + 1, 1)
+        np.testing.assert_array_equal(g.cblock_ptr, np.cumsum(ref))
 
 
 class TestTranspose:
