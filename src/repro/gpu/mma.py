@@ -24,6 +24,9 @@ kernels can evaluate millions of MMAs in a handful of vectorized sweeps.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
+
 import numpy as np
 
 from . import fragments, warp_events
@@ -37,6 +40,10 @@ __all__ = [
     "mma_m8n8k128_b1",
     "mma_b1_batched",
 ]
+
+#: output bytes per block of a batched sweep: the block and its scratch
+#: stay cache-resident across the whole k loop
+SWEEP_BLOCK_BYTES = 1 << 18
 
 
 def mma_m8n8k4(a: np.ndarray, b: np.ndarray,
@@ -85,24 +92,57 @@ def mma_fp64_batched(a: np.ndarray, b: np.ndarray,
         # sampling on bulk kernels)
         _emit_sampled_m8n8k4()
     batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    if c is None:
-        d = np.zeros(batch + (m, n), dtype=np.float64)
-    else:
+    d = np.empty(batch + (m, n), dtype=np.float64)
+    if c is not None:
         c = np.asarray(c, dtype=np.float64)
         if c.shape[-2:] != (m, n):
             raise ValueError(f"C fragments must be (..., {m}, {n}), got {c.shape}")
-        d = np.broadcast_to(c, batch + (m, n)).copy()
-    # sequential rank-1 updates along k fixes the accumulation order; the
-    # product lands in one preallocated scratch (multiply-into + in-place
-    # add) so the k loop allocates no per-step temporaries — bit-identical
-    # to `d += a_k * b_k`, which rounds the product before the add too
-    if k:
-        scratch = np.empty_like(d)
+        c = np.broadcast_to(c, d.shape)
+    a = np.broadcast_to(a, batch + (m, k))
+    b = np.broadcast_to(b, batch + (k, n))
+    if d.size == 0:
+        return d
+    # Sequential rank-1 updates along k fix the accumulation order.  The
+    # sweep walks the output in blocks of ~SWEEP_BLOCK_BYTES (batch
+    # blocks, or row blocks of one matrix), running every k step on one
+    # block before the next, so the block and its product scratch stay
+    # cache-resident; each element still sees the same k-ordered
+    # multiply-then-add sequence, so blocking cannot change a bit.  The
+    # product lands in the scratch (multiply-into + in-place add),
+    # bit-identical to `d += a_k * b_k`, which rounds the product before
+    # the add too.
+    # a block holds at most SWEEP_BLOCK_BYTES of values, or one row
+    scratch = np.empty(min(d.size, max(SWEEP_BLOCK_BYTES // 8, n)))
+    nb = len(batch)
+    for idx in _blocks(batch + (m,), 8 * n):
+        dc = d[idx]
+        if c is None:
+            dc.fill(0.0)
+        else:
+            dc[...] = c[idx]
+        ac, bc = a[idx], b[idx[:nb]]
+        sc = scratch[:dc.size].reshape(dc.shape)
         for kk in range(k):
-            np.multiply(a[..., :, kk:kk + 1], b[..., kk:kk + 1, :],
-                        out=scratch)
-            d += scratch
+            np.multiply(ac[..., :, kk:kk + 1], bc[..., kk:kk + 1, :], out=sc)
+            dc += sc
     return d
+
+
+def _blocks(shape: tuple[int, ...], unit: int) -> Iterator[tuple]:
+    """Index tuples tiling an array of outer shape ``shape`` (positive
+    dims, ``unit`` > 0 bytes per outer position) in row-major order:
+    slices of the leading axis spanning at most ``SWEEP_BLOCK_BYTES`` (at
+    least one position), descending into the next axis while one leading
+    index alone spans more."""
+    inner = unit * math.prod(shape[1:])
+    if inner > SWEEP_BLOCK_BYTES and len(shape) > 1:
+        for i in range(shape[0]):
+            for rest in _blocks(shape[1:], unit):
+                yield (i,) + rest
+    else:
+        step = max(1, SWEEP_BLOCK_BYTES // inner)
+        for i in range(0, shape[0], step):
+            yield (slice(i, i + step),)
 
 
 def warp_gemm_m8n8k4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -222,13 +262,28 @@ def mma_b1_batched(a_words: np.ndarray, b_words: np.ndarray,
     b_words = np.asarray(b_words, dtype=np.uint64)
     if a_words.shape[-2:] != (8, 2) or b_words.shape[-2:] != (8, 2):
         raise ValueError("packed operands must be (..., 8, 2) uint64")
-    # AND every row of A with every packed column of B, then popcount
-    anded = a_words[..., :, np.newaxis, :] & b_words[..., np.newaxis, :, :]
-    if _HAS_BITWISE_COUNT:
-        # count both packed words in one ufunc pass, summed exactly
-        counts = np.bitwise_count(anded).sum(axis=-1, dtype=np.int64)
-    else:  # pragma: no cover - exercised only on NumPy < 2.0
-        counts = _popcount_u64(anded[..., 0]) + _popcount_u64(anded[..., 1])
+    batch = np.broadcast_shapes(a_words.shape[:-2], b_words.shape[:-2])
     if c is not None:
-        counts = counts + np.asarray(c, dtype=np.int64)
+        c = np.asarray(c, dtype=np.int64)
+        batch = np.broadcast_shapes(batch + (8, 8), c.shape)[:-2]
+        c = np.broadcast_to(c, batch + (8, 8))
+    a_words = np.broadcast_to(a_words, batch + (8, 2))
+    b_words = np.broadcast_to(b_words, batch + (8, 2))
+    counts = np.empty(batch + (8, 8), dtype=np.int64)
+    if counts.size == 0:
+        return counts
+    # AND every row of A with every packed column of B one word at a time
+    # and add the two words' popcounts (each <= 64, so even the uint8 sum
+    # is exact), in blocks of ~SWEEP_BLOCK_BYTES of counts (batch blocks,
+    # or row blocks of one tile) so the temporaries stay cache-resident
+    popc = np.bitwise_count if _HAS_BITWISE_COUNT else _popcount_u64
+    nb = len(batch)
+    for idx in _blocks(batch + (8,), 8 * 8):
+        a_blk = a_words[idx][..., :, np.newaxis, :]
+        b_blk = b_words[idx[:nb]][..., np.newaxis, :, :]
+        out = counts[idx]
+        np.add(popc(a_blk[..., 0] & b_blk[..., 0]),
+               popc(a_blk[..., 1] & b_blk[..., 1]), out=out)
+        if c is not None:
+            out += c[idx]
     return counts

@@ -26,7 +26,7 @@ from ..gpu import warp_events
 from ..gpu.counters import KernelStats
 from ..gpu.device import Device, KernelResult
 from ..gpu.launch import LaunchPlan, execute_plan
-from ..sparse.bitmap import SLICE_ROWS, TILE_COLS, BitmapGraph
+from ..sparse.bitmap import SLICE_ROWS, TILE_COLS, BitmapGraph, count_tiles
 from ..sparse.csr import CsrMatrix
 from .base import (
     MLP_IRREGULAR,
@@ -79,17 +79,17 @@ class BfsWorkload(Workload):
         order = np.argsort(-deg, kind="stable")
         relabel = np.empty(n, dtype=np.int64)
         relabel[order] = np.arange(n)
+        # The bitmap stores A^T: row v, column u for edge u -> v, so the
+        # AND+POPC against the frontier (in columns) discovers v's whose
+        # in-neighbors are on the frontier — push semantics, pull dataflow.
+        # Tiles are counted from tile keys alone; only the winner is built.
         candidates = [(relabel[src], relabel[dst]), (src, dst)]
-        bitmaps = [BitmapGraph.from_edges(d, s, n) for s, d in candidates]
-        best = int(np.argmin([b.n_tiles for b in bitmaps]))
+        best = int(np.argmin([count_tiles(d, s, n) for s, d in candidates]))
         src_r, dst_r = candidates[best]
         adj = CsrMatrix.from_coo(src_r, dst_r,
                                  np.ones(len(src_r)), (n, n))
         adj.data[:] = 1.0
-        # the bitmap stores A^T: row v, column u for edge u -> v, so the
-        # AND+POPC against the frontier (in columns) discovers v's whose
-        # in-neighbors are on the frontier — push semantics, pull dataflow
-        bitmap = bitmaps[best]
+        bitmap = BitmapGraph.from_edges(dst_r, src_r, n)
         # start from the highest out-degree vertex (deterministic, and the
         # traversal covers the giant component)
         out_deg = np.bincount(src_r, minlength=n)

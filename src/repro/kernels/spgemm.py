@@ -28,7 +28,7 @@ from ..gpu import warp_events
 from ..gpu.counters import KernelStats
 from ..gpu.device import Device, KernelResult
 from ..gpu.launch import LaunchPlan, execute_plan
-from ..sparse.csr import CsrMatrix
+from ..sparse.csr import CsrMatrix, stable_order
 from ..sparse.mbsr import BLOCK, MbsrMatrix
 from .base import (
     CC_EFF,
@@ -42,12 +42,12 @@ from .base import (
     WorkloadCase,
 )
 
-__all__ = ["SpgemmWorkload", "accumulate_sequential"]
+__all__ = ["SpgemmWorkload"]
 
 #: default matrix scale for functional execution
 EXEC_SCALE = 0.25
-#: block products processed per expansion chunk
-CHUNK = 1 << 19
+#: dense-accumulator slots (rows x n_cols) per reference chunk
+SLOT_CAP = 1 << 19
 #: fraction of repeated B-block reads that miss L2 (mBSR streams block
 #: rows in 128-byte units with good spatial reuse)
 TC_REUSE = 0.70
@@ -62,22 +62,6 @@ def _analytic_matrix(name: str, scale: float) -> tuple[CsrMatrix, MbsrMatrix]:
     the four variants of a case do not regenerate them."""
     a = generate_matrix(name, scale=scale)
     return a, MbsrMatrix.from_csr(a)
-
-
-def accumulate_sequential(keys: np.ndarray, vals: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Sum ``vals`` grouped by sorted ``keys`` with a strictly sequential
-    (first-to-last) accumulation order per group — the CPU-serial
-    reference order for SpGEMM.  ``keys`` must already be sorted."""
-    if len(keys) == 0:
-        return keys, vals
-    uniq_mask = np.r_[True, keys[1:] != keys[:-1]]
-    # bincount adds each value into its group in argument order from 0.0,
-    # which for sorted keys is exactly the first-to-last sequential
-    # accumulation per group (bit-identical to an explicit Python loop,
-    # unlike add.reduceat's pairwise summation).
-    out = np.bincount(np.cumsum(uniq_mask) - 1, weights=vals)
-    return keys[uniq_mask], out
 
 
 class SpgemmWorkload(Workload):
@@ -109,65 +93,39 @@ class SpgemmWorkload(Workload):
         """Serial ground truth: scalar expansion in row-k order with
         strictly sequential duplicate accumulation.
 
-        The expansion is chunked at A-row boundaries (~``CHUNK`` products
-        per chunk) so the sort/gather/accumulate working set stays
-        cache-resident; rows never straddle a chunk, so chunk outputs are
-        key-disjoint and globally sorted, and concatenating them is
-        bit-identical to the single-pass expansion."""
+        Each row chunk of the expansion sums into a dense accumulator over
+        its rows x column window (Gustavson's SPA): ``bincount`` adds every
+        product into its slot in argument order, starting from 0.0, so
+        each entry is its products' first-to-last sum with no sort.
+        Presence comes from a count, so sums that cancel to exactly 0.0
+        stay stored entries.  A chunk holds at most ``SLOT_CAP`` slots and
+        ~512K products.  Its entries come out row-major, and rows never
+        straddle a chunk, so the concatenated chunks are the CSR arrays
+        themselves."""
         a: CsrMatrix = data["a"]
-        b = a
-        b_len = b.row_lengths()
-        expand = b_len[a.indices]
-        seg = np.cumsum(expand) - expand        # product offset per A entry
-        total = int(seg[-1] + expand[-1]) if len(expand) else 0
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return CsrMatrix.from_coo(empty, empty, np.empty(0),
-                                      (a.n_rows, a.n_cols),
-                                      sum_duplicates=False)
-        # b_pos for product p of entry e is start[e] + p
-        start = b.indptr[a.indices] - seg
-        rowkey = a.row_of_entry() * np.int64(a.n_cols)
-        # key values stay below n_rows*n_cols; a 32-bit sort key halves
-        # the radix passes without changing the (stable) permutation
-        small = a.n_rows * a.n_cols < 2 ** 31
-        row_prod = np.r_[seg, total][a.indptr]  # product offset per row
-        keys_parts: list[np.ndarray] = []
-        sums_parts: list[np.ndarray] = []
-        for r0, r1 in self._row_chunks(row_prod, total):
-            e0, e1 = int(a.indptr[r0]), int(a.indptr[r1])
-            p0, p1 = int(row_prod[r0]), int(row_prod[r1])
-            entry = np.repeat(np.arange(e0, e1, dtype=np.int64),
-                              expand[e0:e1])
-            b_pos = start[entry] + np.arange(p0, p1, dtype=np.int64)
-            key = rowkey[entry] + b.indices[b_pos]
-            vals = a.data[entry] * b.data[b_pos]
-            order = np.argsort(key.astype(np.int32) if small else key,
-                               kind="stable")
-            keys_u, sums = accumulate_sequential(key[order], vals[order])
-            keys_parts.append(keys_u)
-            sums_parts.append(sums)
-        keys_u = np.concatenate(keys_parts)
-        sums = np.concatenate(sums_parts)
-        return CsrMatrix.from_coo(keys_u // a.n_cols, keys_u % a.n_cols,
-                                  sums, (a.n_rows, a.n_cols),
-                                  sum_duplicates=False)
-
-    @staticmethod
-    def _row_chunks(row_prod: np.ndarray,
-                    total: int) -> list[tuple[int, int]]:
-        """Split rows into runs of ~``CHUNK`` scalar products each.
-
-        ``row_prod`` maps row boundary -> cumulative product count; cuts
-        land on row boundaries only."""
-        n_rows = len(row_prod) - 1
-        n_chunks = max(1, -(-total // CHUNK))
-        per = -(-total // n_chunks)
-        targets = np.arange(1, n_chunks, dtype=np.int64) * per
-        cuts = np.unique(np.r_[0, np.searchsorted(row_prod, targets),
-                               n_rows])
-        return [(int(r0), int(r1)) for r0, r1 in zip(cuts[:-1], cuts[1:])
-                if row_prod[r0] != row_prod[r1]]
+        rows: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        cols: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        sums: list[np.ndarray] = [np.empty(0)]
+        for r0, r1, slot, col, val in a.expand_chunks(
+                a, chunk_rows=max(1, SLOT_CAP // a.n_cols)):
+            lo = int(col.min())
+            width = int(col.max()) - lo + 1
+            n_slots = (r1 - r0) * width
+            # slot = row * width + (col - lo), in the row buffer
+            slot *= width
+            slot += col
+            slot -= lo
+            present = np.flatnonzero(np.bincount(slot, minlength=n_slots))
+            sums.append(np.bincount(slot, weights=val,
+                                    minlength=n_slots)[present])
+            row = present // width
+            rows.append(row + r0)
+            cols.append(present - row * width + lo)
+        indptr = np.zeros(a.n_rows + 1, dtype=np.int64)
+        indptr[1:] = np.bincount(np.concatenate(rows), minlength=a.n_rows)
+        np.cumsum(indptr, out=indptr)
+        return CsrMatrix(indptr, np.concatenate(cols), np.concatenate(sums),
+                         a.shape)
 
     # ------------------------------------------------------------------
     def execute(self, variant: Variant, data: dict,
@@ -212,9 +170,8 @@ class SpgemmWorkload(Workload):
         """TC/CC (``tree=False``) or CC-E (``tree=True``) block SpGEMM."""
         brow, bcol, ablk, bblk = self._block_products(m)
         nbc = m.n_block_cols + 1
-        key = brow * np.int64(nbc) + bcol
-        order = np.argsort(key, kind="stable")
-        key, ablk, bblk = key[order], ablk[order], bblk[order]
+        order, key = stable_order(brow * np.int64(nbc) + bcol)
+        ablk, bblk = ablk[order], bblk[order]
         uniq_mask = np.r_[True, key[1:] != key[:-1]] if len(key) else \
             np.empty(0, dtype=bool)
         group = np.cumsum(uniq_mask) - 1 if len(key) else key

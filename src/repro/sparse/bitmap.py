@@ -14,12 +14,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csr import CsrMatrix
+from .csr import CsrMatrix, stable_order
 
-__all__ = ["BitmapGraph", "SLICE_ROWS", "TILE_COLS"]
+__all__ = ["BitmapGraph", "SLICE_ROWS", "TILE_COLS", "count_tiles"]
 
 SLICE_ROWS = 8
 TILE_COLS = 128
+
+
+def _tile_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Tile key of each edge ``u -> v`` (bit ``A[u, v]``).
+
+    Keys order tiles by (column block, slice), so the frontier sweep can
+    binary-search all tiles touching an active column block."""
+    n_slices = (n + SLICE_ROWS - 1) // SLICE_ROWS
+    return (np.asarray(dst, dtype=np.int64) // TILE_COLS * (n_slices + 1)
+            + np.asarray(src, dtype=np.int64) // SLICE_ROWS)
+
+
+def count_tiles(src: np.ndarray, dst: np.ndarray, n: int) -> int:
+    """``BitmapGraph.from_edges(src, dst, n).n_tiles`` without building the
+    tiles: the number of distinct tile keys."""
+    keys = _tile_keys(src, dst, n)
+    keys.sort()
+    return int(len(keys) and 1 + np.count_nonzero(keys[1:] != keys[:-1]))
 
 
 @dataclass
@@ -52,23 +70,25 @@ class BitmapGraph:
         if len(src) and (min(src.min(), dst.min()) < 0
                          or max(src.max(), dst.max()) >= n):
             raise ValueError("vertex id out of range")
-        sl = src // SLICE_ROWS
-        cb = dst // TILE_COLS
-        # sort by (cblock, slice) so the frontier sweep can binary-search
-        # all tiles touching an active column block
-        tile_key = cb * ((n + SLICE_ROWS - 1) // SLICE_ROWS + 1) + sl
-        order = np.argsort(tile_key, kind="stable")
-        tk = tile_key[order]
-        uniq = np.r_[True, tk[1:] != tk[:-1]]
-        tile_id = np.cumsum(uniq) - 1
-        n_tiles = int(tile_id[-1]) + 1 if len(src) else 0
-        bits = np.zeros((n_tiles, SLICE_ROWS, TILE_COLS), dtype=bool)
-        bits[tile_id, src[order] % SLICE_ROWS, dst[order] % TILE_COLS] = True
-        packed_bytes = np.packbits(bits, axis=-1, bitorder="little")
-        tiles = packed_bytes.view(np.uint64).reshape(n_tiles, SLICE_ROWS, 2) \
-            if n_tiles else np.empty((0, SLICE_ROWS, 2), dtype=np.uint64)
-        tile_slice = sl[order][uniq] if n_tiles else np.empty(0, np.int64)
-        tile_cblock = cb[order][uniq] if n_tiles else np.empty(0, np.int64)
+        order, tk = stable_order(_tile_keys(src, dst, n))
+        new_tile = np.ones(len(tk), dtype=bool)
+        new_tile[1:] = tk[1:] != tk[:-1]
+        n_tiles = int(np.count_nonzero(new_tile))
+        first_edge = order[new_tile]
+        tile_slice = src[first_edge] // SLICE_ROWS
+        tile_cblock = dst[first_edge] // TILE_COLS
+        tile_of_edge = np.empty(len(tk), dtype=np.int64)
+        tile_of_edge[order] = np.cumsum(new_tile) - 1
+        # OR each edge's bit straight into its row's two words: column c is
+        # bit c % 64 of word c // 64, the little-endian layout of
+        # packbits(bitorder="little") viewed as uint64 that frontier
+        # packing uses
+        col = dst % TILE_COLS
+        tiles = np.zeros((n_tiles, SLICE_ROWS, 2), dtype=np.uint64)
+        np.bitwise_or.at(
+            tiles.reshape(-1),
+            (tile_of_edge * SLICE_ROWS + src % SLICE_ROWS) * 2 + col // 64,
+            np.left_shift(np.uint64(1), (col % 64).astype(np.uint64)))
         n_cblocks = (n + TILE_COLS - 1) // TILE_COLS
         cblock_ptr = np.zeros(n_cblocks + 1, dtype=np.int64)
         cblock_ptr[1:] = np.bincount(tile_cblock, minlength=n_cblocks)

@@ -13,11 +13,61 @@ study (Table 6) depends on:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CsrMatrix"]
+__all__ = ["CsrMatrix", "stable_order"]
+
+#: fused sort keys stay below 2**62, clear of the int64 sign bit
+_FUSED_KEY_BITS = 62
+#: scalar products per SpGEMM expansion chunk
+_PRODUCT_CHUNK = 1 << 19
+
+
+def stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(np.argsort(keys, kind="stable"), keys[order])`` for integer keys.
+
+    Each key is fused with its position, ``key << b | i`` with ``b`` bits
+    for the positions, so the fused keys are unique and any sort of them
+    yields the stable order; one unstable in-place ``sort`` then replaces
+    the stable argsort and the gather of the sorted keys.  The fused key is
+    built in place (shift, then OR the positions into the same buffer, whose
+    position buffer becomes the permutation).  Negative keys, or keys whose
+    bits plus ``b`` exceed 62, fall back to the stable argsort.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    n = len(keys)
+    b = (n - 1).bit_length() if n else 0
+    if n == 0 or keys.min() < 0 \
+            or int(keys.max()).bit_length() + b > _FUSED_KEY_BITS:
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+    fused = np.left_shift(keys, b)
+    order = np.arange(n, dtype=np.int64)
+    fused |= order
+    fused.sort()
+    np.bitwise_and(fused, (1 << b) - 1, out=order)
+    fused >>= b
+    return order, fused
+
+
+def _row_cuts(row_prod: np.ndarray,
+              chunk_rows: int) -> list[tuple[int, int]]:
+    """Row-aligned chunk boundaries: a cut every ``chunk_rows`` rows,
+    refined wherever ~``_PRODUCT_CHUNK`` scalar products have accrued.
+    ``row_prod`` maps row boundary -> cumulative product count."""
+    n_rows = len(row_prod) - 1
+    cuts = set(range(0, n_rows, chunk_rows))
+    cuts.add(n_rows)
+    total = int(row_prod[-1])
+    if total > _PRODUCT_CHUNK:
+        targets = np.arange(1, total // _PRODUCT_CHUNK + 1,
+                            dtype=np.int64) * _PRODUCT_CHUNK
+        cuts.update(np.searchsorted(row_prod, targets).tolist())
+    ordered = sorted(cuts)
+    return list(zip(ordered[:-1], ordered[1:]))
 
 
 @dataclass
@@ -54,8 +104,9 @@ class CsrMatrix:
                  ) -> "CsrMatrix":
         """Build from COO triplets; duplicates are summed by default.
 
-        One stable sort of the fused ``row * n_cols + col`` key orders the
-        entries row-major, duplicates keeping their input order.
+        One stable sort (:func:`stable_order`) of the fused
+        ``row * n_cols + col`` key orders the entries row-major, duplicates
+        keeping their input order.
         ``bincount`` then sums duplicates and counts row lengths; it adds
         in index order from 0.0, exactly as ``np.add.at`` would.
         """
@@ -72,14 +123,15 @@ class CsrMatrix:
         # the fused keys run up to n_rows * n_cols - 1
         if int(n_rows) * int(n_cols) - 1 > np.iinfo(np.int64).max:
             raise ValueError(f"shape {shape} overflows the int64 entry key")
-        keys = rows * np.int64(n_cols) + cols
-        order = np.argsort(keys, kind="stable")
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if sum_duplicates and len(rows):
-            keys = keys[order]
+        order, keys = stable_order(rows * np.int64(n_cols) + cols)
+        vals = vals[order]
+        if sum_duplicates and len(keys):
             first = np.r_[True, keys[1:] != keys[:-1]]
             vals = np.bincount(np.cumsum(first) - 1, weights=vals)
-            rows, cols = rows[first], cols[first]
+            keys = keys[first]
+        # the sorted keys decode to the sorted coordinates
+        rows = keys // n_cols
+        cols = keys - rows * n_cols
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
         indptr[1:] = np.bincount(rows, minlength=n_rows)
         np.cumsum(indptr, out=indptr)
@@ -196,55 +248,62 @@ class CsrMatrix:
         return out
 
     # ------------------------------------------------------------ SpGEMM
-    def spgemm(self, other: "CsrMatrix", *, chunk_rows: int = 2048
-               ) -> "CsrMatrix":
-        """Row-merge SpGEMM ``self @ other`` (expansion + sort + compress),
-        processed in row chunks to bound memory."""
+    def expand_chunks(self, other: "CsrMatrix", chunk_rows: int
+                      ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray,
+                                          np.ndarray]]:
+        """Scalar expansion of ``self @ other`` in row-aligned chunks.
+
+        Yields ``(r0, r1, row, col, val)`` per chunk of rows ``r0 .. r1-1``
+        holding at least one product.  Products come in row-k order (A
+        entries in CSR order, each against its B row in CSR order):
+        product ``p`` is ``val[p] = self[r0 + row[p], k] *
+        other[k, col[p]]``.  A cut falls every ``chunk_rows`` rows and
+        wherever ~512K products have accrued, so a chunk's working set
+        stays cache-resident; rows never straddle a chunk, so no output
+        entry does either.  The three arrays are fresh per chunk.
+        """
         if self.n_cols != other.n_rows:
             raise ValueError(
                 f"dimension mismatch: {self.shape} @ {other.shape}")
-        out_rows: list[np.ndarray] = []
-        out_cols: list[np.ndarray] = []
-        out_vals: list[np.ndarray] = []
-        b_lengths = other.row_lengths()
-        # per-entry expansion counts and cumulative product offsets; rows
-        # never straddle a chunk and output groups live within one row, so
-        # any row-aligned chunking yields bit-identical results (tested)
-        expand_all = b_lengths[self.indices]
+        # per-entry expansion counts and cumulative product offsets
+        expand_all = other.row_lengths()[self.indices]
         segx = np.r_[0, np.cumsum(expand_all)]
         row_prod = segx[self.indptr]
-        # a 32-bit sort key halves the radix passes when it fits
-        small = self.n_rows * other.n_cols < 2 ** 31
-        for r0, r1 in self._spgemm_cuts(row_prod, chunk_rows):
+        for r0, r1 in _row_cuts(row_prod, chunk_rows):
             lo, hi = int(self.indptr[r0]), int(self.indptr[r1])
             n_prod = int(row_prod[r1] - row_prod[r0])
             if n_prod == 0:
                 continue
-            a_cols = self.indices[lo:hi]
-            a_vals = self.data[lo:hi]
-            rowkey = np.repeat(
-                np.arange(r0, r1, dtype=np.int64),
-                np.diff(self.indptr[r0:r1 + 1])) * np.int64(other.n_cols)
-            # one repeat builds the entry map; everything else is a single
-            # gather through it (the B position of product j of entry e is
-            # start[e] + j, chunk-local)
-            start = other.indptr[a_cols] - (segx[lo:hi] - segx[lo])
-            entry = np.repeat(np.arange(hi - lo, dtype=np.int64),
-                              expand_all[lo:hi])
-            b_pos = start[entry] + np.arange(n_prod, dtype=np.int64)
-            key = rowkey[entry] + other.indices[b_pos]
-            prod_val = a_vals[entry] * other.data[b_pos]
+            # per-entry values repeat once per product (sequential writes);
+            # only the B side is gathered: product j of entry e reads B
+            # position start[e] + j, chunk-local
+            expand = expand_all[lo:hi]
+            start = other.indptr[self.indices[lo:hi]] \
+                - (segx[lo:hi] - segx[lo])
+            b_pos = np.repeat(start, expand) \
+                + np.arange(n_prod, dtype=np.int64)
+            row = np.repeat(np.arange(r1 - r0, dtype=np.int64),
+                            np.diff(row_prod[r0:r1 + 1]))
+            yield (r0, r1, row, other.indices[b_pos],
+                   np.repeat(self.data[lo:hi], expand) * other.data[b_pos])
+
+    def spgemm(self, other: "CsrMatrix", *, chunk_rows: int = 2048
+               ) -> "CsrMatrix":
+        """Row-merge SpGEMM ``self @ other`` (expansion + sort + compress),
+        processed in row chunks to bound memory; any row-aligned chunking
+        yields bit-identical results (tested)."""
+        out_rows: list[np.ndarray] = []
+        out_cols: list[np.ndarray] = []
+        out_vals: list[np.ndarray] = []
+        for r0, _, row, col, val in self.expand_chunks(other, chunk_rows):
             # compress duplicates
-            order = np.argsort(key.astype(np.int32) if small else key,
-                               kind="stable")
-            key_s = key[order]
-            val_s = prod_val[order]
-            boundaries = np.flatnonzero(np.r_[True, key_s[1:] != key_s[:-1]])
-            sums = np.add.reduceat(val_s, boundaries)
-            keys_u = key_s[boundaries]
-            out_rows.append((keys_u // other.n_cols).astype(np.int64))
-            out_cols.append((keys_u % other.n_cols).astype(np.int64))
-            out_vals.append(sums)
+            order, key = stable_order(row * np.int64(other.n_cols) + col)
+            boundaries = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+            out_vals.append(np.add.reduceat(val[order], boundaries))
+            key = key[boundaries]
+            rows = key // other.n_cols
+            out_rows.append(rows + r0)
+            out_cols.append(key - rows * other.n_cols)
         if not out_rows:
             return CsrMatrix(np.zeros(self.n_rows + 1, dtype=np.int64),
                              np.empty(0, dtype=np.int64), np.empty(0),
@@ -253,26 +312,6 @@ class CsrMatrix:
             np.concatenate(out_rows), np.concatenate(out_cols),
             np.concatenate(out_vals), (self.n_rows, other.n_cols),
             sum_duplicates=False)
-
-    @staticmethod
-    def _spgemm_cuts(row_prod: np.ndarray,
-                     chunk_rows: int) -> list[tuple[int, int]]:
-        """Row-aligned chunk boundaries for :meth:`spgemm`: a cut every
-        ``chunk_rows`` rows, refined wherever ~512K scalar products have
-        accrued so each chunk's sort/gather working set stays
-        cache-resident.  ``row_prod`` maps row boundary -> cumulative
-        product count."""
-        n_rows = len(row_prod) - 1
-        cuts = set(range(0, n_rows, chunk_rows))
-        cuts.add(n_rows)
-        prod_chunk = 1 << 19
-        total = int(row_prod[-1])
-        if total > prod_chunk:
-            targets = np.arange(1, total // prod_chunk + 1,
-                                dtype=np.int64) * prod_chunk
-            cuts.update(np.searchsorted(row_prod, targets).tolist())
-        ordered = sorted(cuts)
-        return list(zip(ordered[:-1], ordered[1:]))
 
     # ------------------------------------------------------------ helpers
     def _check_x(self, x: np.ndarray) -> np.ndarray:

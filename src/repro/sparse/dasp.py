@@ -75,22 +75,20 @@ class DaspMatrix:
         mask = np.zeros((total_steps, 8, 4), dtype=bool)
 
         # scatter each row's nonzeros into its group's tile stack, vectorized
-        # across all entries at once
+        # across all entries at once through one flat (step, lane, kk) index
         if a.nnz:
             sorted_pos_of_row = np.empty(n_rows, dtype=np.int64)
             sorted_pos_of_row[perm] = np.arange(n_rows)
             entry_row = a.row_of_entry()
             pos = sorted_pos_of_row[entry_row]          # sorted row position
-            group = pos // 8
-            lane = pos % 8
             # index of the entry within its row
             within = (np.arange(a.nnz, dtype=np.int64)
                       - a.indptr[entry_row])
-            step = group_offsets[group] + within // 4
-            kk = within % 4
-            values[step, lane, kk] = a.data
-            cols[step, lane, kk] = a.indices
-            mask[step, lane, kk] = True
+            step = group_offsets[pos // 8] + within // 4
+            flat = (step * 8 + pos % 8) * 4 + within % 4
+            values.reshape(-1)[flat] = a.data
+            cols.reshape(-1)[flat] = a.indices
+            mask.reshape(-1)[flat] = True
 
         cat = np.full(padded_rows, "short", dtype=object)
         s_lo, s_hi = ROW_CATEGORY_BOUNDS

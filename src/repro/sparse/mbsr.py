@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csr import CsrMatrix
+from .csr import CsrMatrix, stable_order
 
 __all__ = ["MbsrMatrix", "BLOCK"]
 
@@ -44,24 +44,24 @@ class MbsrMatrix:
                        np.empty(0, dtype=np.int64),
                        np.empty((0, BLOCK, BLOCK)), a.shape, 0)
         entry_row = a.row_of_entry()
-        brow = entry_row // BLOCK
-        bcol = a.indices // BLOCK
-        key = brow * np.int64((n_cols // BLOCK) + 1) + bcol
-        order = np.argsort(key, kind="stable")
-        key_s = key[order]
+        key_cols = np.int64(n_cols // BLOCK + 1)
+        order, key_s = stable_order(
+            entry_row // BLOCK * key_cols + a.indices // BLOCK)
         uniq_mask = np.r_[True, key_s[1:] != key_s[:-1]]
-        block_id = np.cumsum(uniq_mask) - 1
-        n_blocks = int(block_id[-1]) + 1
+        block_of_entry = np.empty(a.nnz, dtype=np.int64)
+        block_of_entry[order] = np.cumsum(uniq_mask) - 1
+        n_blocks = int(np.count_nonzero(uniq_mask))
+        # one flat index into the block payloads performs the
+        # (block, row, col) scatter, in entry order
+        flat = (block_of_entry * BLOCK + entry_row % BLOCK) * BLOCK \
+            + a.indices % BLOCK
         blocks = np.zeros((n_blocks, BLOCK, BLOCK))
-        blocks[block_id,
-               entry_row[order] % BLOCK,
-               a.indices[order] % BLOCK] = a.data[order]
-        u_brow = brow[order][uniq_mask]
-        u_bcol = bcol[order][uniq_mask]
+        blocks.reshape(-1)[flat] = a.data
+        u_brow, u_bcol = np.divmod(key_s[uniq_mask], key_cols)
         indptr = np.zeros(nbr + 1, dtype=np.int64)
-        np.add.at(indptr, u_brow + 1, 1)
+        indptr[1:] = np.bincount(u_brow, minlength=nbr)
         np.cumsum(indptr, out=indptr)
-        return cls(indptr, u_bcol.astype(np.int64), blocks, a.shape, a.nnz)
+        return cls(indptr, u_bcol, blocks, a.shape, a.nnz)
 
     # ------------------------------------------------------------------
     @property

@@ -208,3 +208,102 @@ class TestScratchAccumulation:
         for kk in range(4):
             d = d + ab[..., :, kk:kk + 1] * bb[..., kk:kk + 1, :]
         np.testing.assert_array_equal(got, d)
+
+
+def _fp64_one_pass(a, b, c=None):
+    """The unblocked sweep the blocked one replaced: every k step runs
+    over the whole ``(batch, m, n)`` accumulator."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    m, k = a.shape[-2:]
+    n = b.shape[-1]
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    d = np.zeros(batch + (m, n)) if c is None \
+        else np.broadcast_to(c, batch + (m, n)).copy()
+    if k:
+        scratch = np.empty_like(d)
+        for kk in range(k):
+            np.multiply(a[..., :, kk:kk + 1], b[..., kk:kk + 1, :],
+                        out=scratch)
+            d += scratch
+    return d
+
+
+def _b1_one_shot(a_words, b_words, c=None):
+    """The unblocked bit sweep: the whole ``(batch, 8, 8, 2)`` AND product,
+    popcounts summed over the word axis."""
+    anded = a_words[..., :, np.newaxis, :] & b_words[..., np.newaxis, :, :]
+    counts = mma._popcount_u64(anded).sum(axis=-1, dtype=np.int64)
+    return counts if c is None else counts + np.asarray(c, dtype=np.int64)
+
+
+BLOCK_SIZES = [mma.SWEEP_BLOCK_BYTES, 1000, 64]
+
+
+class TestBlockedSweeps:
+    """Blocked sweeps against the one-pass references, bit for bit, at the
+    shipped block size and at sizes that force row and batch blocking on
+    small shapes."""
+
+    @staticmethod
+    def _same(got, ref):
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      ref.view(np.uint64))
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    @pytest.mark.parametrize("batch,m,k,n", [
+        ((1300,), 8, 4, 8),       # crosses the block size, does not divide
+        ((1024,), 8, 12, 8),      # divides it
+        ((2, 3, 70), 8, 8, 8),    # multi-axis batch
+        ((1,), 300, 70, 500),     # one matrix: row blocks
+        ((), 130, 9, 257),        # no batch axis
+        ((0,), 8, 4, 8),          # empty batch
+        ((3,), 5, 0, 6),          # k = 0
+    ])
+    def test_fp64_matches_one_pass(self, block, batch, m, k, n,
+                                   monkeypatch):
+        monkeypatch.setattr(mma, "SWEEP_BLOCK_BYTES", block)
+        a, b, c = _tiles(batch, m, k, n, seed=len(batch) + m + k + n)
+        self._same(mma.mma_fp64_batched(a, b), _fp64_one_pass(a, b))
+        self._same(mma.mma_fp64_batched(a, b, c), _fp64_one_pass(a, b, c))
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_fp64_broadcast_operands(self, block, monkeypatch):
+        monkeypatch.setattr(mma, "SWEEP_BLOCK_BYTES", block)
+        rng = np.random.default_rng(21)
+        a = rng.uniform(-2, 2, (7, 1, 8, 6))
+        b = rng.uniform(-2, 2, (1, 90, 6, 8))
+        c = rng.uniform(-2, 2, (90, 8, 8))       # broadcast accumulator
+        self._same(mma.mma_fp64_batched(a, b), _fp64_one_pass(a, b))
+        self._same(mma.mma_fp64_batched(a, b, c), _fp64_one_pass(a, b, c))
+        # a shared single matrix against a batch of B operands
+        a1 = rng.uniform(-2, 2, (40, 6))
+        self._same(mma.mma_fp64_batched(a1, b), _fp64_one_pass(a1, b))
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    @pytest.mark.parametrize("a_batch,b_batch,c_shape", [
+        ((1300,), (1300,), None),            # crosses the block size
+        ((19, 1), (1, 70), (70, 8, 8)),      # broadcast batch dims
+        ((), (), (8, 8)),                    # one tile, given c
+        ((0,), (0,), None),                  # empty batch
+        ((3,), (3,), (2, 3, 8, 8)),          # c widens the batch
+    ])
+    def test_b1_matches_one_shot(self, block, a_batch, b_batch, c_shape,
+                                 monkeypatch):
+        monkeypatch.setattr(mma, "SWEEP_BLOCK_BYTES", block)
+        rng = np.random.default_rng(len(a_batch) + len(b_batch))
+        hi = np.iinfo(np.uint64).max
+        a = rng.integers(0, hi, a_batch + (8, 2), dtype=np.uint64,
+                         endpoint=True)
+        b = rng.integers(0, hi, b_batch + (8, 2), dtype=np.uint64,
+                         endpoint=True)
+        c = None if c_shape is None else rng.integers(0, 100, c_shape)
+        self._same(mma.mma_b1_batched(a, b, c), _b1_one_shot(a, b, c))
+
+    def test_inputs_untouched(self):
+        a, b, c = _tiles((600,), 8, 4, 8, seed=5)
+        copies = [x.copy() for x in (a, b, c)]
+        mma.mma_fp64_batched(a, b, c)
+        for x, before in zip((a, b, c), copies):
+            np.testing.assert_array_equal(x, before)

@@ -6,9 +6,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels.spgemm import accumulate_sequential
-from repro.sparse.bitmap import BitmapGraph
-from repro.sparse.csr import CsrMatrix
+from repro.kernels import spgemm
+from repro.sparse.bitmap import SLICE_ROWS, TILE_COLS, BitmapGraph, count_tiles
+from repro.sparse.csr import CsrMatrix, stable_order
 
 
 def random_csr(n_rows=50, n_cols=40, density=0.1, seed=0):
@@ -129,6 +129,184 @@ class TestFromCooMatchesReference:
     def test_key_overflow_raises(self):
         with pytest.raises(ValueError, match="overflows"):
             CsrMatrix.from_coo([0], [0], [1.0], (2 ** 32, 2 ** 32))
+
+
+def accumulate_sequential(keys, vals):
+    """Sum ``vals`` grouped by sorted ``keys`` with a strictly sequential
+    (first-to-last) accumulation order per group: ``bincount`` adds each
+    value into its group in argument order from 0.0."""
+    if len(keys) == 0:
+        return keys, vals
+    uniq_mask = np.r_[True, keys[1:] != keys[:-1]]
+    out = np.bincount(np.cumsum(uniq_mask) - 1, weights=vals)
+    return keys[uniq_mask], out
+
+
+def _sorted_spgemm_reference(a):
+    """The SpGEMM serial reference the dense accumulator replaced: the
+    whole scalar expansion of ``a @ a`` in row-k order, one stable sort of
+    its ``row * n_cols + col`` keys, then sequential group sums."""
+    expand = a.row_lengths()[a.indices]
+    seg = np.cumsum(expand) - expand
+    entry = np.repeat(np.arange(a.nnz, dtype=np.int64), expand)
+    b_pos = (a.indptr[a.indices] - seg)[entry] \
+        + np.arange(len(entry), dtype=np.int64)
+    key = a.row_of_entry()[entry] * np.int64(a.n_cols) + a.indices[b_pos]
+    vals = a.data[entry] * a.data[b_pos]
+    order = np.argsort(key, kind="stable")
+    keys_u, sums = accumulate_sequential(key[order], vals[order])
+    return CsrMatrix.from_coo(keys_u // a.n_cols, keys_u % a.n_cols, sums,
+                              a.shape, sum_duplicates=False)
+
+
+class TestStableOrder:
+    def _check(self, keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        order, sorted_keys = stable_order(keys)
+        ref = np.argsort(keys, kind="stable")
+        assert order.dtype == ref.dtype
+        np.testing.assert_array_equal(order, ref)
+        np.testing.assert_array_equal(sorted_keys, keys[ref])
+        assert sorted_keys.dtype == np.int64
+
+    @given(st.lists(st.integers(0, 6), max_size=400),
+           st.integers(0, 40))
+    @settings(max_examples=50, deadline=None)
+    def test_property_heavy_duplication(self, keys, shift):
+        # few distinct values, spread over a range of key widths
+        self._check(np.asarray(keys, dtype=np.int64) << shift)
+
+    @pytest.mark.parametrize("keys", [[], [7], [0], [3, 3], [2, 1]])
+    def test_small(self, keys):
+        self._check(keys)
+
+    @pytest.mark.parametrize("keys", [
+        [5, -1, 5, 0, -1],                        # negative keys
+        [1 << 61, 0, 1 << 61, 3],                 # 62 key bits + 2 position
+        [(1 << 60) + 1, 1 << 60, 0, 1 << 60, 2],  # 61 + 3 bits
+    ])
+    def test_fallback(self, keys):
+        self._check(keys)
+
+    def test_widest_fused_key(self):
+        # 60 key bits + 2 position bits fill the 62-bit budget exactly
+        self._check([(1 << 60) - 1, 0, (1 << 60) - 1, 1])
+
+
+class TestSpgemmReference:
+    @staticmethod
+    def _assert_same(a):
+        got = spgemm.SpgemmWorkload().reference({"a": a})
+        ref = _sorted_spgemm_reference(a)
+        np.testing.assert_array_equal(got.indptr, ref.indptr)
+        np.testing.assert_array_equal(got.indices, ref.indices)
+        np.testing.assert_array_equal(got.data.view(np.uint64),
+                                      ref.data.view(np.uint64))
+
+    @staticmethod
+    def _cancelling(n, density, seed):
+        """Small-integer values (exact products, sums that cancel to 0.0),
+        ``-0.0`` entries, and empty rows."""
+        rng = np.random.default_rng(seed)
+        mask = rng.random((n, n)) < density
+        mask[rng.integers(0, n, max(1, n // 5))] = False
+        dense = np.where(mask, rng.integers(-2, 3, (n, n)).astype(float),
+                         0.0)
+        rows, cols = np.nonzero(mask)
+        vals = dense[rows, cols]
+        vals[vals == 0.0] = -0.0
+        return CsrMatrix.from_coo(rows, cols, vals, (n, n),
+                                  sum_duplicates=False)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_property_cancellation(self, seed):
+        a = self._cancelling(int(np.random.default_rng(seed).integers(1, 40)),
+                             0.2, seed)
+        self._assert_same(a)
+
+    def test_exact_zero_sums_stay_stored(self):
+        # row 0: 1*1 + (-1)*1 = 0.0 at (0, 0); row 1 is empty
+        a = CsrMatrix.from_coo([0, 0, 2], [0, 2, 0], [1.0, -1.0, 1.0],
+                               (3, 3))
+        c = spgemm.SpgemmWorkload().reference({"a": a})
+        assert c.nnz == 4 and c.to_dense()[0, 0] == 0.0
+        self._assert_same(a)
+
+    def test_negative_zero_products(self):
+        a = CsrMatrix.from_coo([0, 0, 1], [0, 1, 1], [-0.0, 2.0, -0.0],
+                               (2, 2), sum_duplicates=False)
+        self._assert_same(a)
+
+    def test_empty(self):
+        self._assert_same(CsrMatrix.from_coo([], [], [], (4, 4)))
+
+    def test_rows_times_cols_exceed_one_chunk(self):
+        a = self._cancelling(900, 0.004, 3)
+        assert a.n_rows * a.n_cols > spgemm.SLOT_CAP
+        self._assert_same(a)
+
+    @pytest.mark.parametrize("cap", [1, 50, 333])
+    def test_small_slot_caps(self, cap, monkeypatch):
+        # a cap below one row still takes one row per chunk
+        monkeypatch.setattr(spgemm, "SLOT_CAP", cap)
+        self._assert_same(self._cancelling(60, 0.15, cap))
+
+
+def _from_edges_reference(src, dst, n):
+    """The bool-array + ``packbits`` tile build ``from_edges`` replaced."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    sl = src // SLICE_ROWS
+    cb = dst // TILE_COLS
+    tile_key = cb * ((n + SLICE_ROWS - 1) // SLICE_ROWS + 1) + sl
+    order = np.argsort(tile_key, kind="stable")
+    tk = tile_key[order]
+    uniq = np.r_[True, tk[1:] != tk[:-1]]
+    tile_id = np.cumsum(uniq) - 1
+    n_tiles = int(tile_id[-1]) + 1 if len(src) else 0
+    bits = np.zeros((n_tiles, SLICE_ROWS, TILE_COLS), dtype=bool)
+    bits[tile_id, src[order] % SLICE_ROWS, dst[order] % TILE_COLS] = True
+    tiles = np.packbits(bits, axis=-1, bitorder="little").view(np.uint64) \
+        .reshape(n_tiles, SLICE_ROWS, 2)
+    if not n_tiles:
+        return tiles, np.empty(0, np.int64), np.empty(0, np.int64)
+    return tiles, sl[order][uniq], cb[order][uniq]
+
+
+class TestBitmapMatchesReference:
+    @pytest.mark.parametrize("n,n_edges", [
+        (700, 400),     # n not a multiple of 8 or 128
+        (131, 2000),    # dense: many duplicate edges
+        (1024, 300),    # n a multiple of both
+        (5, 0),         # no edges
+        (1, 3),         # one vertex, self loops only
+    ])
+    def test_bit_identical(self, n, n_edges):
+        rng = np.random.default_rng(n + n_edges)
+        src = rng.integers(0, n, n_edges)
+        dst = rng.integers(0, n, n_edges)
+        src = np.r_[src, src[:n_edges // 3]]        # explicit duplicates
+        dst = np.r_[dst, dst[:n_edges // 3]]
+        g = BitmapGraph.from_edges(src, dst, n)
+        tiles, tile_slice, tile_cblock = _from_edges_reference(src, dst, n)
+        assert g.tiles.dtype == np.uint64
+        np.testing.assert_array_equal(g.tiles, tiles)
+        np.testing.assert_array_equal(g.tile_slice, tile_slice)
+        np.testing.assert_array_equal(g.tile_cblock, tile_cblock)
+        assert count_tiles(src, dst, n) == g.n_tiles
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_property_count_tiles(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 600))
+        m = int(rng.integers(0, 500))
+        src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+        g = BitmapGraph.from_edges(src, dst, n)
+        np.testing.assert_array_equal(g.tiles,
+                                      _from_edges_reference(src, dst, n)[0])
+        assert count_tiles(src, dst, n) == g.n_tiles
 
 
 class TestOtherScatterAdds:

@@ -205,3 +205,74 @@ class TestBitmapGraph:
             valid = rows < n
             got[rows[valid]] += np.diag(counts)[valid]
         np.testing.assert_array_equal(got, expected)
+
+
+def _mbsr_reference(a):
+    """The three-index-array block scatter and ``np.add.at`` indptr that
+    ``MbsrMatrix.from_csr`` replaced."""
+    from repro.sparse.mbsr import BLOCK
+    entry_row = a.row_of_entry()
+    brow = entry_row // BLOCK
+    bcol = a.indices // BLOCK
+    key = brow * np.int64(a.n_cols // BLOCK + 1) + bcol
+    order = np.argsort(key, kind="stable")
+    key_s = key[order]
+    uniq = np.r_[True, key_s[1:] != key_s[:-1]]
+    block_id = np.cumsum(uniq) - 1
+    blocks = np.zeros((int(block_id[-1]) + 1, BLOCK, BLOCK))
+    blocks[block_id, entry_row[order] % BLOCK,
+           a.indices[order] % BLOCK] = a.data[order]
+    indptr = np.zeros((a.n_rows + BLOCK - 1) // BLOCK + 1, dtype=np.int64)
+    np.add.at(indptr, brow[order][uniq] + 1, 1)
+    return np.cumsum(indptr), bcol[order][uniq], blocks
+
+
+def _dasp_tiles_reference(a, d):
+    """The three-index-array tile scatter ``DaspMatrix.from_csr`` replaced,
+    into ``d``'s own row permutation and group offsets."""
+    values = np.zeros_like(d.values)
+    cols = np.zeros_like(d.cols)
+    mask = np.zeros_like(d.mask)
+    pos_of_row = np.empty(a.n_rows, dtype=np.int64)
+    pos_of_row[d.row_perm] = np.arange(a.n_rows)
+    entry_row = a.row_of_entry()
+    pos = pos_of_row[entry_row]
+    within = np.arange(a.nnz, dtype=np.int64) - a.indptr[entry_row]
+    step = d.group_offsets[pos // 8] + within // 4
+    values[step, pos % 8, within % 4] = a.data
+    cols[step, pos % 8, within % 4] = a.indices
+    mask[step, pos % 8, within % 4] = True
+    return values, cols, mask
+
+
+class TestFlatScatterMatchesReference:
+    CASES = [(50, 50, 0.1), (13, 11, 0.3), (64, 9, 0.5), (3, 200, 0.2)]
+
+    @pytest.mark.parametrize("shape_density", CASES)
+    def test_mbsr(self, shape_density):
+        a, _ = random_csr(*shape_density, seed=sum(shape_density[:2]))
+        m = MbsrMatrix.from_csr(a)
+        indptr, indices, blocks = _mbsr_reference(a)
+        np.testing.assert_array_equal(m.block_indptr, indptr)
+        np.testing.assert_array_equal(m.block_indices, indices)
+        np.testing.assert_array_equal(m.blocks.view(np.uint64),
+                                      blocks.view(np.uint64))
+
+    def test_mbsr_duplicate_entries_last_wins(self):
+        # a hand-built CSR may repeat a column within a row; the flat
+        # scatter keeps the last duplicate, as the indexed scatter did
+        a = CsrMatrix(np.array([0, 3, 4]), np.array([1, 1, 6, 1]),
+                      np.array([1.0, 2.0, 3.0, 4.0]), (2, 8))
+        blocks = _mbsr_reference(a)[2]
+        np.testing.assert_array_equal(MbsrMatrix.from_csr(a).blocks, blocks)
+        assert MbsrMatrix.from_csr(a).blocks[0, 0, 1] == 2.0
+
+    @pytest.mark.parametrize("shape_density", CASES)
+    def test_dasp(self, shape_density):
+        a, _ = random_csr(*shape_density, seed=sum(shape_density[:2]))
+        d = DaspMatrix.from_csr(a)
+        values, cols, mask = _dasp_tiles_reference(a, d)
+        np.testing.assert_array_equal(d.values.view(np.uint64),
+                                      values.view(np.uint64))
+        np.testing.assert_array_equal(d.cols, cols)
+        np.testing.assert_array_equal(d.mask, mask)
