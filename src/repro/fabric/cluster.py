@@ -1,4 +1,4 @@
-"""Fabric assembly: shard processes, hosted shards, hosted routers.
+"""Fabric assembly: shard processes, or shards and router in-process.
 
 Two ways to stand a fabric up:
 
@@ -8,10 +8,10 @@ Two ways to stand a fabric up:
   :class:`~repro.fabric.router.ShardSpec` list — what ``repro fabric
   start`` runs in production shape.
 * :class:`HostedFabric` runs N in-process shard services (thread-pool
-  model workers, each on its own background event loop) behind an
-  in-process :class:`HostedRouter` — the zero-setup shape the tests and
-  ``repro loadgen --router`` use, with :meth:`HostedFabric.kill_shard`
-  as the failover drill trigger.
+  model workers) behind an in-process router, all on one background
+  event loop — the zero-setup shape the tests and ``repro loadgen
+  --router`` use, with :meth:`HostedFabric.kill_shard` as the failover
+  drill trigger.
 
 Both shapes speak the same wire protocol through the same router code,
 so a drill passing against ``HostedFabric`` exercises the code paths the
@@ -20,96 +20,38 @@ process deployment runs.
 
 from __future__ import annotations
 
-import asyncio
 import os
 import re
 import select
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 from typing import Any
 
-from ..serve.loadgen import HostedService
+from ..serve.loadgen import ServerHost
 from ..serve.protocol import normalize_params
 from ..serve.scheduler import query_key
-from ..serve.server import ServeConfig
+from ..serve.server import CharacterizationService, ServeConfig
 from .router import FabricRouter, RouterConfig, ShardSpec
 
-__all__ = ["HostedFabric", "HostedRouter", "spawn_local_shards",
-           "terminate_shards"]
+__all__ = ["HostedFabric", "spawn_local_shards", "terminate_shards"]
 
 #: matches the ``repro serve`` listen banner to learn the bound port
 _BANNER_RE = re.compile(r"listening on ([^\s:]+):(\d+)")
 
 
-class HostedRouter:
-    """A FabricRouter on a background thread (mirrors HostedService)."""
-
-    def __init__(self, router: FabricRouter) -> None:
-        self.router = router
-        self.address: tuple[str, int] | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._startup_error: BaseException | None = None
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        asyncio.set_event_loop(loop)
-        try:
-            self.address = loop.run_until_complete(self.router.start_tcp())
-        except BaseException as exc:  # surface bind failures to the caller
-            self._startup_error = exc
-            self._started.set()
-            loop.close()
-            return
-        self._started.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(self.router.stop())
-            pending = [t for t in asyncio.all_tasks(loop) if not t.done()]
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True))
-            loop.close()
-
-    def start(self) -> tuple[str, int]:
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="repro-fabric-router")
-        self._thread.start()
-        self._started.wait(timeout=30)
-        if self._startup_error is not None:
-            raise self._startup_error
-        assert self.address is not None, "router failed to start"
-        return self.address
-
-    def stop(self) -> None:
-        if self._loop is not None and self._loop.is_running():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-
-    def __enter__(self) -> "HostedRouter":
-        self.start()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
-
-
 class HostedFabric:
     """N in-process shards behind an in-process router (tests, loadgen).
 
-    Every shard runs a full :class:`CharacterizationService` (thread
-    model pool) on its own background loop; the router consistent-hashes
-    across them exactly as it would across processes.  ``address`` is
-    the router endpoint once started.
+    Every shard is a full :class:`CharacterizationService` (thread model
+    pool, its own listener, port and caches); the router
+    consistent-hashes across them over loopback TCP exactly as it would
+    across processes.  The shards and the router share one background
+    event loop (:class:`~repro.serve.loadgen.ServerHost`), so a blocking
+    call on it — the persisted-store disk read under ``persist`` is the
+    only one — delays the router and every shard.  ``address`` is the
+    router endpoint once started.
     """
 
     def __init__(self, shards: int = 3, *, token: str | None = None,
@@ -128,18 +70,19 @@ class HostedFabric:
             for i in range(shards)]
         self._router_config = router_config
         self._probe_interval_s = probe_interval_s
-        self._shards: dict[str, HostedService] = {}
+        self._host: ServerHost | None = None
+        self._shards: dict[str, CharacterizationService] = {}
         self.router: FabricRouter | None = None
-        self.hosted_router: HostedRouter | None = None
         self.address: tuple[str, int] | None = None
 
     def start(self) -> tuple[str, int]:
+        self._host = ServerHost()
         specs = []
         try:
             for config in self._configs:
-                hosted = HostedService(config)
-                host, port = hosted.start()
-                self._shards[config.shard_id] = hosted
+                service = CharacterizationService(config)
+                host, port = self._host.serve(service)
+                self._shards[config.shard_id] = service
                 specs.append(ShardSpec(config.shard_id, host, port))
             config = self._router_config
             if config is None:
@@ -147,24 +90,25 @@ class HostedFabric:
                     host="127.0.0.1", port=0, token=self.token,
                     probe_interval_s=self._probe_interval_s)
             self.router = FabricRouter(specs, config)
-            self.hosted_router = HostedRouter(self.router)
-            self.address = self.hosted_router.start()
+            self.address = self._host.serve(self.router)
         except BaseException:
             self.stop()
             raise
         return self.address
 
     def stop(self) -> None:
-        if self.hosted_router is not None:
-            self.hosted_router.stop()
-            self.hosted_router = None
-        for hosted in self._shards.values():
-            hosted.stop()
-        self._shards.clear()
+        if self._host is not None:
+            self._host.stop()
 
     def kill_shard(self, shard_id: str) -> None:
-        """Abruptly kill one shard (connections reset, no drain)."""
-        self._shards[shard_id].kill()
+        """Abruptly kill one shard (connections reset, no drain).
+
+        The shared loop keeps running: the router and the other shards
+        go on serving, and the victim's keys fail over to the next
+        owners.
+        """
+        assert self._host is not None, "fabric not started"
+        self._host.call(self._shards[shard_id].abort())
 
     def owner_of(self, kind: str, params: dict[str, Any] | None) -> str:
         """Which shard currently owns this query (the drill's victim)."""

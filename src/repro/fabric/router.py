@@ -5,7 +5,9 @@ serve wire protocol (handshake first when a token is configured, then
 JSON-lines queries) and forwards each query line — verbatim, so shard-
 side coalescing and caching see exactly what a direct client would have
 sent — to the shard owning the query's content key on a
-:class:`~repro.fabric.ring.HashRing`.
+:class:`~repro.fabric.ring.HashRing`, and relays the shard's reply line
+back as bytes.  Only a replayed reply, or one from a shard without an
+id, is parsed and stamped with the answering ``shard_id``.
 
 Failure handling is replay, not apology: when the owning shard's
 connection dies mid-query, the shard is marked down, its hash ranges
@@ -39,6 +41,7 @@ from ..serve.protocol import (
     decode_request,
     encode_handshake,
     encode_response,
+    names_shard,
 )
 from ..serve.scheduler import query_key
 from ..serve.telemetry import Telemetry
@@ -122,8 +125,8 @@ class _ShardLink:
                     f"shard {self.spec.shard_id} refused the handshake")
         self._reader, self._writer = reader, writer
 
-    async def ask(self, line: str) -> str:
-        """Send one request line, await one reply line.
+    async def ask(self, line: str) -> bytes:
+        """Send one request line, await one reply line (as bytes).
 
         Raises :class:`ReplyTooLarge` when the reply outgrows the stream
         limit; the rest of that line is still in flight, so the
@@ -153,7 +156,7 @@ class _ShardLink:
             await self.close()
             raise ConnectionError(
                 f"shard {self.spec.shard_id} closed mid-reply")
-        return reply.decode("utf-8", errors="replace")
+        return reply
 
     async def close(self) -> None:
         writer, self._reader, self._writer = self._writer, None, None
@@ -216,7 +219,7 @@ class FabricRouter:
 
     # ------------------------------------------------------------- routing
     async def _route(self, text: str,
-                     links: dict[str, _ShardLink]) -> str:
+                     links: dict[str, _ShardLink]) -> bytes:
         try:
             req = decode_request(text)
         except ProtocolError as exc:
@@ -224,16 +227,16 @@ class FabricRouter:
             return encode_response(Response(
                 id=None, ok=False,
                 error={"code": exc.code, "message": exc.message},
-                served_by=ROUTER_ID, shard_id=ROUTER_ID))
+                served_by=ROUTER_ID, shard_id=ROUTER_ID)).encode()
         self.telemetry.inc("requests_total")
         if req.kind == "ping":
             return encode_response(Response(
                 id=req.id, ok=True, result="pong",
-                served_by=ROUTER_ID, shard_id=ROUTER_ID))
+                served_by=ROUTER_ID, shard_id=ROUTER_ID)).encode()
         if req.kind == "metrics":
             return encode_response(Response(
                 id=req.id, ok=True, result=self.status_snapshot(),
-                served_by=ROUTER_ID, shard_id=ROUTER_ID))
+                served_by=ROUTER_ID, shard_id=ROUTER_ID)).encode()
 
         key = query_key(req.kind, req.params)
         order = self.ring.owners(key, self.alive_ids())
@@ -264,7 +267,7 @@ class FabricRouter:
                         id=req.id, ok=False,
                         error={"code": "reply_too_large",
                                "message": str(exc)},
-                        served_by=ROUTER_ID, shard_id=ROUTER_ID))
+                        served_by=ROUTER_ID, shard_id=ROUTER_ID)).encode()
                 except (OSError, ConnectionError,
                         asyncio.TimeoutError) as exc:
                     self._set_down(shard_id, True)
@@ -275,6 +278,8 @@ class FabricRouter:
                     continue
                 if replays:
                     self.telemetry.inc("failovers_total")
+                elif names_shard(reply, shard_id):
+                    return reply  # relayed byte for byte, never parsed
                 return self._annotate(reply, shard_id, replays)
         self.telemetry.inc("errors_total")
         return encode_response(Response(
@@ -282,10 +287,10 @@ class FabricRouter:
             error={"code": "shard_unavailable",
                    "message": f"no shard could answer {req.kind!r} "
                               f"(last: {last_detail})"},
-            served_by=ROUTER_ID, shard_id=ROUTER_ID))
+            served_by=ROUTER_ID, shard_id=ROUTER_ID)).encode()
 
     @staticmethod
-    def _annotate(reply: str, shard_id: str, replays: int) -> str:
+    def _annotate(reply: bytes, shard_id: str, replays: int) -> bytes:
         """Stamp the answering shard (and replay count) onto the reply."""
         try:
             payload = json.loads(reply)
@@ -296,7 +301,7 @@ class FabricRouter:
         payload.setdefault("shard_id", shard_id)
         if replays:
             payload["failover_replays"] = replays
-        return json.dumps(payload, separators=(",", ":")) + "\n"
+        return json.dumps(payload, separators=(",", ":")).encode() + b"\n"
 
     # -------------------------------------------------------------- probes
     async def _probe(self, shard_id: str) -> bool:
@@ -393,7 +398,7 @@ class FabricRouter:
                         shard_id=ROUTER_ID)).encode())
                     await writer.drain()
                     continue
-                writer.write((await self._route(text, links)).encode())
+                writer.write(await self._route(text, links))
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError,
                 asyncio.IncompleteReadError):

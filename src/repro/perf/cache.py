@@ -153,13 +153,45 @@ def default_max_disk_bytes() -> int | None:
 
 # ------------------------------------------------------------------ hashing
 
+def _encode_str(obj: str, h) -> None:
+    raw = obj.encode()
+    h.update(b"s" + repr(len(raw)).encode() + b":" + raw)
+
+
+def _encode_mapping(obj: Mapping, h) -> None:
+    h.update(b"m")
+    for k in sorted(obj, key=repr):
+        _encode(k, h)
+        _encode(obj[k], h)
+
+
+def _encode_items(items: Sequence, h) -> None:
+    h.update(b"l" + repr(len(items)).encode())
+    for item in items:
+        _encode(item, h)
+
+
 def _encode(obj: Any, h) -> None:
     """Feed a canonical byte encoding of ``obj`` into hasher ``h``.
 
     Only value-like inputs are accepted; arbitrary objects raise TypeError
     so cache keys never silently depend on object identity.
     """
-    if obj is None:
+    cls = type(obj)
+    # exact builtins first: nearly every key part is one, and an identity
+    # test is far cheaper than the chain below.  Subclasses (str-Enums,
+    # IntEnums, bools, OrderedDicts) take the chain, encoded as before.
+    if cls is str:
+        _encode_str(obj, h)
+    elif cls is dict:
+        _encode_mapping(obj, h)
+    elif cls is list or cls is tuple:
+        _encode_items(obj, h)
+    elif cls is int:
+        h.update(b"i" + repr(obj).encode())
+    elif cls is float:
+        h.update(b"f" + repr(obj).encode())
+    elif obj is None:
         h.update(b"N")
     elif isinstance(obj, bool):
         h.update(b"b1" if obj else b"b0")
@@ -168,8 +200,7 @@ def _encode(obj: Any, h) -> None:
     elif isinstance(obj, (float, np.floating)):
         h.update(b"f" + repr(float(obj)).encode())
     elif isinstance(obj, str):
-        raw = obj.encode()
-        h.update(b"s" + repr(len(raw)).encode() + b":" + raw)
+        _encode_str(obj, h)
     elif isinstance(obj, bytes):
         h.update(b"y" + repr(len(obj)).encode() + b":" + obj)
     elif isinstance(obj, Enum):
@@ -186,16 +217,10 @@ def _encode(obj: Any, h) -> None:
             _encode(f.name, h)
             _encode(getattr(obj, f.name), h)
     elif isinstance(obj, Mapping):
-        h.update(b"m")
-        for k in sorted(obj, key=repr):
-            _encode(k, h)
-            _encode(obj[k], h)
+        _encode_mapping(obj, h)
     elif isinstance(obj, (Sequence, frozenset, set)):
-        items = sorted(obj, key=repr) if isinstance(obj, (set, frozenset)) \
-            else obj
-        h.update(b"l" + repr(len(items)).encode())
-        for item in items:
-            _encode(item, h)
+        _encode_items(sorted(obj, key=repr)
+                      if isinstance(obj, (set, frozenset)) else obj, h)
     else:
         raise TypeError(
             f"cannot derive a stable cache key from {type(obj).__name__!r}")

@@ -11,8 +11,8 @@ error observed; the CLI turns errors or a p99 bound violation into a
 non-zero exit so CI can gate on it.
 
 ``--self-host`` boots the full TCP service on an ephemeral port inside
-this process (event loop on a background thread) and aims the clients at
-it — the zero-setup smoke mode CI uses.
+this process (:class:`ServerHost`: event loop on a background thread)
+and aims the clients at it — the zero-setup smoke mode CI uses.
 
 ``--chaos RATE`` layers the fault plan on top (docs/ROBUSTNESS.md):
 connection drops, worker crashes, and cache corruption all fire at RATE
@@ -28,14 +28,15 @@ import hashlib
 import json
 import threading
 import time
-from typing import Any, Mapping, Sequence
+from typing import Any, Coroutine, Mapping, Sequence
 
 from .client import ServeClient
 from .protocol import ProtocolError, normalize_params
 from .server import CharacterizationService, ServeConfig
 
-__all__ = ["DEFAULT_MIX", "HostedService", "format_loadgen_report",
-           "loadgen_failures", "reference_digests", "run_loadgen"]
+__all__ = ["DEFAULT_MIX", "HostedService", "ServerHost",
+           "format_loadgen_report", "loadgen_failures", "reference_digests",
+           "run_loadgen"]
 
 #: the repeated-query workload: the questions a practitioner actually
 #: asks before an MMU port, all answerable from the analytic model
@@ -51,40 +52,41 @@ DEFAULT_MIX: tuple[tuple[str, dict[str, Any]], ...] = (
 )
 
 
-class HostedService:
-    """A full TCP service on a background thread (ephemeral port).
+#: longest a caller waits on the hosted loop (bind, kill, shutdown)
+_HOST_TIMEOUT_S = 30.0
 
-    The event loop, service, pool, and scheduler all live on the thread;
-    ``address`` is valid once the context manager enters.
+
+class ServerHost:
+    """TCP servers on one background event loop.
+
+    A server is anything with ``async start_tcp() -> (host, port)`` and
+    ``async stop()``: a :class:`CharacterizationService` or a fabric
+    router.  :meth:`serve` binds one on the loop and returns its address
+    (re-raising a bind failure), :meth:`call` runs any other coroutine
+    there, and :meth:`stop` stops the servers, last served first, then
+    cancels what is left and closes the loop.
+
+    Servers in one interpreter share the loop rather than each getting
+    a loop thread: such threads never run Python in parallel, they only
+    hand the interpreter lock to each other at every hop.  The price is
+    that a blocking call on the loop stalls every hosted server.
     """
 
-    def __init__(self, config: ServeConfig | None = None) -> None:
-        self.config = config if config is not None \
-            else ServeConfig(port=0, pool_mode="thread")
-        self.service: CharacterizationService | None = None
-        self.address: tuple[str, int] | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._startup_error: BaseException | None = None
+    def __init__(self) -> None:
+        self._loop = asyncio.new_event_loop()
+        self._servers: list[Any] = []
+        self._thread = threading.Thread(target=self._run, daemon=True,
+                                        name="repro-serve-host")
+        self._thread.start()
 
     def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
+        loop = self._loop
         asyncio.set_event_loop(loop)
-        try:
-            self.service = CharacterizationService(self.config)
-            self.address = loop.run_until_complete(self.service.start_tcp())
-        except BaseException as exc:  # surface bind failures to the caller
-            self._startup_error = exc
-            self._started.set()
-            loop.close()
-            return
-        self._started.set()
         try:
             loop.run_forever()
         finally:
-            loop.run_until_complete(self.service.stop())
+            for server in reversed(self._servers):
+                loop.run_until_complete(server.stop())
             pending = [t for t in asyncio.all_tasks(loop) if not t.done()]
             for task in pending:
                 task.cancel()
@@ -93,38 +95,49 @@ class HostedService:
                     asyncio.gather(*pending, return_exceptions=True))
             loop.close()
 
+    def call(self, coro: Coroutine[Any, Any, Any]) -> Any:
+        """Run ``coro`` on the loop; its result, or its exception."""
+        return asyncio.run_coroutine_threadsafe(coro, self._loop).result(
+            timeout=_HOST_TIMEOUT_S)
+
+    def serve(self, server: Any) -> tuple[str, int]:
+        """Bind ``server`` on the loop; stopped again by :meth:`stop`."""
+        address = self.call(server.start_tcp())
+        self._servers.append(server)
+        return address
+
+    def stop(self) -> None:
+        if not self._loop.is_closed():
+            self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(timeout=_HOST_TIMEOUT_S)
+
+
+class HostedService:
+    """A full TCP service on a :class:`ServerHost` (ephemeral port).
+
+    ``address`` is valid once the context manager enters.
+    """
+
+    def __init__(self, config: ServeConfig | None = None) -> None:
+        self.config = config if config is not None \
+            else ServeConfig(port=0, pool_mode="thread")
+        self.service: CharacterizationService | None = None
+        self.address: tuple[str, int] | None = None
+        self._host: ServerHost | None = None
+
     def start(self) -> tuple[str, int]:
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="repro-serve-host")
-        self._thread.start()
-        self._started.wait(timeout=30)
-        if self._startup_error is not None:
-            raise self._startup_error
-        assert self.address is not None, "service failed to start"
+        self._host = ServerHost()
+        try:
+            self.service = CharacterizationService(self.config)
+            self.address = self._host.serve(self.service)
+        except BaseException:
+            self.stop()
+            raise
         return self.address
 
     def stop(self) -> None:
-        if self._loop is not None and self._loop.is_running():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-
-    def kill(self) -> None:
-        """Abrupt stop: reset every connection without draining.
-
-        The in-process stand-in for ``kill -9`` on a shard — clients
-        (and the fabric router) see hard connection resets mid-query,
-        which is exactly what failover drills must absorb.
-        """
-        if self._loop is not None and self._loop.is_running() \
-                and self.service is not None:
-            fut = asyncio.run_coroutine_threadsafe(self.service.abort(),
-                                                   self._loop)
-            try:
-                fut.result(timeout=10)
-            except Exception:  # pragma: no cover - loop already dying
-                pass
-        self.stop()
+        if self._host is not None:
+            self._host.stop()
 
     def __enter__(self) -> "HostedService":
         self.start()

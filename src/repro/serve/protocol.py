@@ -56,6 +56,7 @@ __all__ = [
     "encode_request",
     "encode_response",
     "is_handshake_line",
+    "names_shard",
     "normalize_params",
 ]
 
@@ -351,6 +352,8 @@ class Response:
     trace: dict[str, float] | None = None
     #: which shard produced the answer (None outside the fabric)
     shard_id: str | None = None
+    #: dead owners the fabric router replayed past before this answer
+    failover_replays: int = 0
 
 
 def encode_request(req: Request) -> str:
@@ -408,7 +411,21 @@ def encode_response(resp: Response) -> str:
         payload["trace"] = resp.trace
     if resp.shard_id is not None:
         payload["shard_id"] = resp.shard_id
+    if resp.failover_replays:
+        payload["failover_replays"] = resp.failover_replays
     return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def names_shard(line: bytes, shard_id: str) -> bool:
+    """Whether an encoded response line already carries ``shard_id``.
+
+    :func:`encode_response` writes ``shard_id`` as the last member of
+    every reply a shard produces (only a router-stamped replay count may
+    follow it), so a stamped line ends with that member.  The fabric
+    router relays such a line as bytes, without parsing it.
+    """
+    return line.endswith(
+        b',"shard_id":' + json.dumps(shard_id).encode() + b"}\n")
 
 
 def decode_response(line: str) -> Response:
@@ -428,4 +445,5 @@ def decode_response(line: str) -> Response:
         stale=bool(payload.get("stale", False)),
         trace=payload.get("trace"),
         shard_id=payload.get("shard_id"),
+        failover_replays=payload.get("failover_replays", 0),
     )

@@ -270,10 +270,14 @@ class Scheduler:
             fut.set_result(payload)
 
     async def drain(self, timeout_s: float = 5.0) -> None:
-        """Let in-flight work finish (bounded); then drop bookkeeping."""
+        """Let in-flight work finish (bounded); then :meth:`cancel`."""
         tasks = [t for t in self._tasks if not t.done()]
         if tasks:
             await asyncio.wait(tasks, timeout=timeout_s)
+        self.cancel()
+
+    def cancel(self) -> None:
+        """Cancel every scheduler task and drop the bookkeeping."""
         for task in self._tasks:
             task.cancel()
         self._pending_perf.clear()

@@ -413,17 +413,22 @@ class CharacterizationService:
 
         The failover drill's stand-in for a killed shard process —
         clients see connection resets mid-query, exactly what the
-        router's replay path must absorb.
+        router's replay path must absorb.  The event loop may host other
+        services and keeps running, so the scheduler's tasks are
+        cancelled too: no model work starts after the kill.
         """
-        if self._tcp_server is not None:
-            self._tcp_server.close()
-            await self._tcp_server.wait_closed()
-            self._tcp_server = None
+        server, self._tcp_server = self._tcp_server, None
+        if server is not None:
+            server.close()
         for writer in list(self._writers):
             transport = writer.transport
             if transport is not None:
                 transport.abort()
+        self.scheduler.cancel()
         self.pool.shutdown()
+        if server is not None:
+            # after the resets: a server may wait for its connections
+            await server.wait_closed()
 
     async def serve_forever(self) -> None:
         """``repro serve``: run until cancelled."""

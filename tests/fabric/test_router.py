@@ -1,22 +1,31 @@
-"""The fabric router end to end: placement, failover, auth.
+"""The fabric router end to end: placement, failover, auth, hosting.
 
 Drives a :class:`HostedFabric` (three in-process shard services behind
-an in-process router) through the real TCP wire with the ordinary
-:class:`ServeClient` — the same code paths ``repro fabric start`` runs
-across processes.
+an in-process router, all on one event loop) through the real TCP wire
+with the ordinary :class:`ServeClient` — the same code paths ``repro
+fabric start`` runs across processes.
 """
 
 import json
 import socket
+import threading
 import time
 
 import pytest
 
 from repro.fabric import router as router_module
 from repro.fabric.cluster import HostedFabric
+from repro.fabric.router import FabricRouter, RouterConfig, ShardSpec
 from repro.serve import ProtocolError, ServeClient, ServeConnectionError
+from repro.serve.loadgen import ServerHost
 from repro.serve.protocol import normalize_params
 from repro.serve.queries import resolve_query
+from repro.serve.server import CharacterizationService, ServeConfig
+
+#: quadrant queries whose keys spread over the three shards
+QUADRANT_MIX = [{"workload": w} for w in
+                ("gemv", "spmv", "gemm", "scan", "fft", "stencil",
+                 "reduction")]
 
 
 def make_fabric(**kwargs):
@@ -40,15 +49,13 @@ class TestRouting:
         assert second.result == first.result
 
     def test_distinct_keys_spread_over_shards(self):
-        mix = [{"workload": w} for w in
-               ("gemv", "spmv", "gemm", "scan", "fft", "stencil",
-                "reduction")]
         with make_fabric() as fabric:
             host, port = fabric.address
             with ServeClient(host, port) as client:
                 answering = {client.query("quadrant", p).shard_id
-                             for p in mix}
-            expected = {fabric.owner_of("quadrant", p) for p in mix}
+                             for p in QUADRANT_MIX}
+            expected = {fabric.owner_of("quadrant", p)
+                        for p in QUADRANT_MIX}
         assert answering == expected
         assert len(answering) > 1  # the mix actually shards
 
@@ -67,10 +74,76 @@ class TestRouting:
         assert metrics.result["ring"]["shards"] == 3
 
 
+class TestRelay:
+    def test_client_gets_the_owning_shards_reply_bytes(self, monkeypatch):
+        """A cache hit and a model answer both reach the client exactly
+        as the owning shard wrote them."""
+        asked = []
+        ask = router_module._ShardLink.ask
+
+        async def recording_ask(link, line):
+            reply = await ask(link, line)
+            asked.append((line, reply))
+            return reply
+
+        monkeypatch.setattr(router_module._ShardLink, "ask", recording_ask)
+        request = b'{"id":"r","kind":"quadrant","params":{"workload":"fft"}}\n'
+        with HostedFabric(2, probe_interval_s=60.0,
+                          shard_workers=1) as fabric:
+            with socket.create_connection(fabric.address, timeout=30) \
+                    as sock, sock.makefile("rb") as stream:
+                received = []
+                for _ in range(2):
+                    sock.sendall(request)
+                    received.append(stream.readline())
+            owner = fabric.owner_of("quadrant", {"workload": "fft"})
+        shard_replies = [reply for line, reply in asked
+                         if '"quadrant"' in line]
+        assert received == shard_replies
+        answers = [json.loads(line) for line in received]
+        assert [a["served_by"] for a in answers] == ["model", "cache"]
+        assert {a["shard_id"] for a in answers} == {owner}
+        assert all("failover_replays" not in a for a in answers)
+
+    def test_unstamped_shard_reply_gets_its_spec_id(self):
+        host = ServerHost()
+        try:
+            shard = host.serve(CharacterizationService(
+                ServeConfig(port=0, pool_mode="thread", workers=1)))
+            address = host.serve(FabricRouter(
+                [ShardSpec("solo", *shard)],
+                RouterConfig(port=0, probe_interval_s=60.0)))
+            with ServeClient(*address) as client:
+                resp = client.query("quadrant", {"workload": "gemv"})
+        finally:
+            host.stop()
+        assert resp.ok
+        assert resp.shard_id == "solo"
+        assert resp.failover_replays == 0
+
+
+class TestHosting:
+    def test_one_loop_thread_survives_a_killed_shard(self):
+        before = set(threading.enumerate())
+        with make_fabric() as fabric:
+            added = [t for t in threading.enumerate() if t not in before]
+            fabric.kill_shard("s0")
+            with ServeClient(*fabric.address) as client:
+                replies = [client.query("quadrant", p)
+                           for p in QUADRANT_MIX]
+            loop_alive = all(t.is_alive() for t in added)
+        assert len(added) == 1  # three shards and the router, one loop
+        assert loop_alive
+        assert all(r.ok for r in replies)
+        assert {r.shard_id for r in replies} == {"s1", "s2"}
+
+
 class TestFailover:
     def test_killed_owner_fails_over_bit_identically(self):
         params = {"workload": "spmv"}
-        with make_fabric() as fabric:
+        # no probe round may notice the kill first: the forward must
+        # find the dead owner itself and replay
+        with make_fabric(probe_interval_s=60.0) as fabric:
             host, port = fabric.address
             with ServeClient(host, port) as client:
                 before = client.query("quadrant", params)
@@ -83,6 +156,7 @@ class TestFailover:
                 after = client.query("quadrant", params, fresh=True)
         assert after.ok
         assert after.shard_id != victim
+        assert after.failover_replays >= 1
         assert json.dumps(after.result, sort_keys=True) \
             == json.dumps(before.result, sort_keys=True)
 

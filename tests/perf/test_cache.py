@@ -1,10 +1,17 @@
 """Content-addressed cache: keys, tiers, accounting, corruption, and the
 bit-identity contract between cached and fresh artifacts."""
 
+import hashlib
+from collections import OrderedDict
+from collections.abc import Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum, IntEnum
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpu.device import Device
 from repro.analysis.accuracy import _accuracy_table_uncached, accuracy_table
@@ -13,13 +20,17 @@ from repro.datasets.suitesparse import (
     _generate_matrix_uncached,
     generate_matrix,
 )
+from repro.kernels.base import Variant
 from repro.kernels.scan import ScanWorkload
 from repro.perf.cache import (
+    CACHE_SCHEMA,
     ResultCache,
     content_key,
     package_source_token,
     source_token,
 )
+from repro.serve.protocol import normalize_params
+from repro.serve.scheduler import query_key
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -62,6 +73,122 @@ class TestContentKey:
         tok = source_token(synthetic)
         assert len(tok) == 64 and int(tok, 16) >= 0
         assert len(package_source_token()) == 64
+
+
+def _encode_reference(obj, h) -> None:
+    """The isinstance-chain encoder, before exact builtins went first."""
+    if obj is None:
+        h.update(b"N")
+    elif isinstance(obj, bool):
+        h.update(b"b1" if obj else b"b0")
+    elif isinstance(obj, (int, np.integer)):
+        h.update(b"i" + repr(int(obj)).encode())
+    elif isinstance(obj, (float, np.floating)):
+        h.update(b"f" + repr(float(obj)).encode())
+    elif isinstance(obj, str):
+        raw = obj.encode()
+        h.update(b"s" + repr(len(raw)).encode() + b":" + raw)
+    elif isinstance(obj, bytes):
+        h.update(b"y" + repr(len(obj)).encode() + b":" + obj)
+    elif isinstance(obj, Enum):
+        h.update(b"e")
+        _encode_reference(type(obj).__name__, h)
+        _encode_reference(obj.value, h)
+    elif isinstance(obj, np.ndarray):
+        arr = np.ascontiguousarray(obj)
+        h.update(b"a" + arr.dtype.str.encode() + repr(arr.shape).encode())
+        h.update(arr.tobytes())
+    elif is_dataclass(obj) and not isinstance(obj, type):
+        h.update(b"d" + type(obj).__qualname__.encode())
+        for f in fields(obj):
+            _encode_reference(f.name, h)
+            _encode_reference(getattr(obj, f.name), h)
+    elif isinstance(obj, Mapping):
+        h.update(b"m")
+        for k in sorted(obj, key=repr):
+            _encode_reference(k, h)
+            _encode_reference(obj[k], h)
+    elif isinstance(obj, (Sequence, frozenset, set)):
+        items = sorted(obj, key=repr) if isinstance(obj, (set, frozenset)) \
+            else obj
+        h.update(b"l" + repr(len(items)).encode())
+        for item in items:
+            _encode_reference(item, h)
+    else:
+        raise TypeError(
+            f"cannot derive a stable cache key from {type(obj).__name__!r}")
+
+
+def _reference_key(*parts) -> str:
+    h = hashlib.sha256()
+    h.update(b"repro-cache" + repr(CACHE_SCHEMA).encode())
+    for part in parts:
+        h.update(b"|")
+        _encode_reference(part, h)
+    return h.hexdigest()
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+@dataclass(frozen=True)
+class _Point:
+    x: float
+    tags: tuple
+
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=8),
+    st.floats(allow_nan=False), st.binary(max_size=4),
+    st.sampled_from(list(Variant)), st.sampled_from(list(_Level)),
+    st.integers(-2**31, 2**31 - 1).map(np.int64),
+    st.floats(width=32).map(np.float32))
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        st.dictionaries(st.text(max_size=4), inner,
+                        max_size=4).map(OrderedDict),
+        st.frozensets(st.integers(), max_size=4),
+        st.builds(_Point, st.floats(allow_nan=False),
+                  st.lists(inner, max_size=2).map(tuple))),
+    max_leaves=16)
+
+
+class TestEncodeMatchesReference:
+    """Exact builtins are tested first; every key stays what it was."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_values)
+    def test_nested_values(self, value):
+        assert content_key("v", value) == _reference_key("v", value)
+
+    @pytest.mark.parametrize("value", [
+        Variant.TC, _Level.HIGH, True, False, np.float64(0.1),
+        np.int32(-7), -0.0, float("inf"), float("nan"),
+        2**70, "", b"", (), [], {}, {1: "a", "1": "b"},
+        _Point(1.5, ("a", Variant.CC)), np.arange(4.0)])
+    def test_named_cases(self, value):
+        assert content_key(value) == _reference_key(value)
+
+    def test_serve_query_keys(self):
+        queries = [("quadrant", {"workload": "gemv"}),
+                   ("perf", {"workloads": ["scan"], "gpus": ["H200"]}),
+                   ("whatif", {"base": "B200", "scales": {"tc_fp64": 2.0},
+                               "workloads": ["gemm"]}),
+                   ("edp", {"workload": "reduction", "gpu": "H200"})]
+        for kind, params in queries:
+            params = normalize_params(kind, params)
+            assert query_key(kind, params) == _reference_key(
+                "serve.query", kind, dict(params))
+
+    def test_unkeyable_object_still_raises(self):
+        with pytest.raises(TypeError):
+            content_key([{"a": object()}])
 
 
 class TestResultCacheTiers:

@@ -15,6 +15,7 @@ from repro.serve.protocol import (
     decode_response,
     encode_request,
     encode_response,
+    names_shard,
     normalize_params,
 )
 
@@ -131,6 +132,29 @@ class TestResponseRoundTrip:
             decode_response("{}")
         with pytest.raises(ProtocolError):
             decode_response("garbage")
+
+    def test_failover_replays_written_only_when_nonzero(self):
+        plain = encode_response(Response(id="a", ok=True, result=1,
+                                         shard_id="s1"))
+        assert "failover_replays" not in json.loads(plain)
+        assert decode_response(plain).failover_replays == 0
+        replayed = Response(id="a", ok=True, result=1, shard_id="s1",
+                            failover_replays=2)
+        assert decode_response(encode_response(replayed)) == replayed
+
+    def test_names_shard_reads_only_the_top_level_stamp(self):
+        nested = {"shard_id": "s1"}
+        stamped = encode_response(Response(
+            id="a", ok=True, result=nested, shard_id="s1")).encode()
+        assert names_shard(stamped, "s1")
+        assert not names_shard(stamped, "s2")
+        unstamped = encode_response(Response(
+            id="a", ok=True, result=nested)).encode()
+        assert not names_shard(unstamped, "s1")
+        replayed = encode_response(Response(
+            id="a", ok=True, result=1, shard_id="s1",
+            failover_replays=1)).encode()
+        assert not names_shard(replayed, "s1")
 
     def test_wire_is_single_compact_line(self):
         line = encode_response(Response(id="a", ok=True, result=[1, 2]))

@@ -238,6 +238,34 @@ class TestFailures:
         assert "edp" in resp.error["message"]
         assert "ValueError" in resp.error["message"]
 
+    def test_abort_starts_no_model_work_after_the_kill(self, thread_config):
+        """A perf query still inside its batch window when the service is
+        aborted never reaches the model pool: the loop may go on hosting
+        other services, so the kill must stop the scheduler too."""
+        batches = []
+
+        def perf_batch_resolver(param_sets, inner_jobs):
+            batches.append(param_sets)
+            return [{} for _ in param_sets]
+
+        async def scenario():
+            service = CharacterizationService(
+                thread_config, perf_batch_resolver=perf_batch_resolver)
+            waiter = asyncio.get_running_loop().create_task(service.handle(
+                make_request("perf", {"workloads": ["gemv"],
+                                      "gpus": ["A100"]})))
+            await settle(lambda: service.scheduler.inflight_count() == 1)
+            await service.abort()
+            await asyncio.sleep(thread_config.batch_window_s * 5)
+            executor = service.pool._executor
+            waiter.cancel()
+            await asyncio.gather(waiter, return_exceptions=True)
+            await service.stop()
+            return executor
+
+        assert run(scenario()) is None  # the pool was not brought back
+        assert batches == []
+
     def test_pool_rejects_bad_settings(self):
         with pytest.raises(ValueError):
             ModelPool(workers=0)
