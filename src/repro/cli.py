@@ -303,7 +303,6 @@ def _serve_config(args: argparse.Namespace):
         pool_mode=args.pool, inner_jobs=args.inner_jobs,
         max_queue_depth=args.queue_depth, rate=args.rate, burst=args.burst,
         default_deadline_s=args.deadline,
-        batch_window_s=args.batch_window,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown,
         shard_id=args.shard_id, token=_resolve_token(args.token),
@@ -794,8 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="token-bucket burst (default: max(rate, 1))")
         p.add_argument("--deadline", type=float, default=30.0,
                        help="default per-query deadline, seconds")
-        p.add_argument("--batch-window", type=float, default=0.005,
-                       help="perf-query batching window, seconds")
         p.add_argument("--breaker-threshold", type=int, default=5,
                        help="consecutive failures that trip a kind's "
                             "circuit breaker")

@@ -64,8 +64,7 @@ class HostedFabric:
         self.token = token
         self._configs = [
             ServeConfig(host="127.0.0.1", port=0, pool_mode="thread",
-                        workers=shard_workers, batch_window_s=0.01,
-                        shard_id=f"s{i}", token=token,
+                        workers=shard_workers, shard_id=f"s{i}", token=token,
                         persist=persist, store_dir=store_dir)
             for i in range(shards)]
         self._router_config = router_config

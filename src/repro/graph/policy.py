@@ -20,7 +20,9 @@ has not run ``repro check --facts``) every node is assumed concurrent —
 the graph builders only schedule functions the engine already proves
 pure, and CI regenerates and compares the artifact on every push.
 ``REPRO_FACTS`` overrides the default path (the checked-in
-``determinism_facts.json`` at the repo root).
+``determinism_facts.json`` at the repo root).  Every graph run builds a
+policy, so the parsed artifact is kept per process and re-read only when
+the file's modification time or size changes.
 """
 
 from __future__ import annotations
@@ -44,14 +46,35 @@ def default_facts_path() -> Path:
     return Path(__file__).resolve().parents[3] / "determinism_facts.json"
 
 
+#: path -> ((st_mtime_ns, st_size), parsed document) of each facts file
+#: read in this process
+_PARSED: dict[Path, tuple[tuple[int, int], dict]] = {}
+
+
 def load_facts(path: str | Path | None = None) -> dict | None:
-    """The parsed facts artifact, or None when absent/unreadable."""
+    """The parsed facts artifact, or None when absent/unreadable.
+
+    Parsed once per file version: a repeat call on an unchanged file
+    returns the same dict, which callers must treat as read-only.  A
+    missing or unreadable file is never remembered.
+    """
     target = Path(path) if path is not None else default_facts_path()
     try:
-        doc = json.loads(target.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
+        st = target.stat()
+        stamp = (st.st_mtime_ns, st.st_size)
+        hit = _PARSED.get(target)
+        if hit is not None and hit[0] == stamp:
+            return hit[1]
+        # stat before reading: a rewrite in between, or a racing
+        # thread's store, leaves a document under an older stamp, which
+        # the next call re-reads
+        doc = json.loads(target.read_bytes())
+    except (OSError, ValueError):  # ValueError: bad JSON or UTF-8
         return None
-    return doc if isinstance(doc, dict) else None
+    if not isinstance(doc, dict):
+        return None
+    _PARSED[target] = (stamp, doc)
+    return doc
 
 
 def function_fid(fn: Callable) -> str | None:

@@ -10,17 +10,22 @@ minimal under concurrent load:
   LRU.  The model is deterministic (DESIGN.md decision 4), so a
   coalesced or cached answer is bit-identical to a fresh computation —
   the same guarantee :class:`~repro.perf.cache.ResultCache` relies on.
-* **Perf batching** — perf queries arriving within one batch window and
-  addressing the same device list merge into a single
-  :func:`~repro.serve.queries.resolve_perf_batch` submission (one
-  ``ParallelExecutor`` grid evaluation over the union of workloads),
-  then split back per query.
+* **Perf batching (group commit)** — a perf query goes to the pool on
+  the next loop tick when fewer than ``pool.workers`` perf batches are
+  running; perf queries that arrive while every worker runs one wait,
+  grouped by device list, and each group goes out as one
+  :func:`~repro.serve.queries.resolve_perf_batch` submission (one task
+  graph over the union of workloads, split back per query) when a
+  running batch finishes.  Queries submitted in the same loop tick with
+  the same device list also share a batch.  No timer: a batch forms only
+  when waiting is unavoidable, and its size is set by how long the
+  running batches take.
 * **Bounded pool** — model work runs via ``loop.run_in_executor`` on a
   :class:`ModelPool`: a ``ProcessPoolExecutor`` of ``workers`` processes
-  by default, degrading automatically (and permanently, with a
-  telemetry gauge flip) to a thread pool where subprocesses are
-  unavailable, e.g. sandboxes.  The event loop itself never executes
-  model code.
+  by default, degrading automatically (and permanently: the
+  ``pool_mode`` gauge flips and ``pool_degrades_total`` counts it) to a
+  thread pool where subprocesses are unavailable, e.g. sandboxes.  The
+  event loop itself never executes model code.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import pickle
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from concurrent.futures import Executor, ProcessPoolExecutor, \
     ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -55,15 +60,21 @@ class ModelPool:
     ``mode="thread"`` is the in-process fallback (numpy releases the GIL
     for the heavy kernels).  A broken or unavailable process pool flips
     the mode to ``thread`` transparently and retries the submission.
+    The ``pool_mode``/``pool_workers`` gauges and the
+    ``pool_degrades_total`` counter in ``telemetry`` track the live pool.
     """
 
-    def __init__(self, workers: int = 2, mode: str = "process") -> None:
+    def __init__(self, workers: int = 2, mode: str = "process", *,
+                 telemetry: Telemetry | None = None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if mode not in ("process", "thread"):
             raise ValueError(f"unknown pool mode {mode!r}")
         self.workers = workers
         self.mode = mode
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        self.telemetry.gauge("pool_mode", mode)
+        self.telemetry.gauge("pool_workers", workers)
         self._executor: Executor | None = None
 
     def _ensure(self) -> Executor:
@@ -80,6 +91,8 @@ class ModelPool:
     def _degrade(self) -> None:
         old, self._executor = self._executor, None
         self.mode = "thread"
+        self.telemetry.gauge("pool_mode", self.mode)
+        self.telemetry.inc("pool_degrades_total")
         if old is not None:
             old.shutdown(wait=False, cancel_futures=True)
 
@@ -93,10 +106,10 @@ class ModelPool:
                 TypeError) as exc:
             if self.mode != "process":
                 raise
+            if isinstance(exc, TypeError) and "pickle" not in str(exc):
+                raise  # the resolver's own error, not the pool's
             # sandboxed / unpicklable: fall back to threads for good
             self._degrade()
-            if isinstance(exc, TypeError) and "pickle" not in str(exc):
-                raise
             return await loop.run_in_executor(self._ensure(), call)
 
     def shutdown(self) -> None:
@@ -109,7 +122,7 @@ class Scheduler:
     """Coalesces, batches, and dispatches queries onto the model pool."""
 
     def __init__(self, pool: ModelPool, admission: AdmissionController,
-                 telemetry: Telemetry, *, batch_window_s: float = 0.005,
+                 telemetry: Telemetry, *,
                  inner_jobs: int = 1, results_cap: int = 1024,
                  resolver: Callable[[str, Mapping[str, Any]], Any]
                  = resolve_query,
@@ -120,7 +133,6 @@ class Scheduler:
         self.pool = pool
         self.admission = admission
         self.telemetry = telemetry
-        self.batch_window_s = batch_window_s
         self.inner_jobs = inner_jobs
         self.results_cap = results_cap
         self._resolver = resolver
@@ -129,10 +141,15 @@ class Scheduler:
         self.store = store
         self._inflight: dict[str, asyncio.Future] = {}
         self._results: OrderedDict[str, Any] = OrderedDict()
-        self._pending_perf: dict[
+        #: perf queries not yet in the pool, one group per device list; a
+        #: group takes every query that arrives before its batch starts
+        self._perf_groups: dict[
             tuple[str, ...],
             list[tuple[str, dict[str, Any], asyncio.Future]]] = {}
-        self._flush_task: asyncio.Task | None = None
+        #: device lists whose group waits for a pool worker, oldest first
+        self._perf_waiting: deque[tuple[str, ...]] = deque()
+        #: perf batches holding a pool worker (running or about to start)
+        self._perf_batches = 0
         self._tasks: set[asyncio.Task] = set()
 
     # ------------------------------------------------------------ lookup
@@ -191,15 +208,16 @@ class Scheduler:
             lambda f: f.exception() if not f.cancelled() else None)
         self._inflight[key] = fut
         if kind == "perf":
-            self._enqueue_perf(kind, params, key, fut)
+            self._enqueue_perf(params, key, fut)
         else:
             self._spawn(self._run_single(kind, dict(params), key, fut))
         return fut
 
-    def _spawn(self, coro) -> None:
+    def _spawn(self, coro) -> asyncio.Task:
         task = asyncio.get_running_loop().create_task(coro)
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
+        return task
 
     async def _run_single(self, kind: str, params: dict[str, Any],
                           key: str, fut: asyncio.Future) -> None:
@@ -211,26 +229,35 @@ class Scheduler:
             self._complete(kind, key, fut, payload=payload)
 
     # ------------------------------------------------------ perf batching
-    def _enqueue_perf(self, kind: str, params: Mapping[str, Any], key: str,
+    def _enqueue_perf(self, params: Mapping[str, Any], key: str,
                       fut: asyncio.Future) -> None:
-        group_key = tuple(params["gpus"])
-        self._pending_perf.setdefault(group_key, []).append(
-            (key, dict(params), fut))
-        if self._flush_task is None or self._flush_task.done():
-            self._flush_task = asyncio.get_running_loop().create_task(
-                self._flush_after_window())
-            self._tasks.add(self._flush_task)
-            self._flush_task.add_done_callback(self._tasks.discard)
+        devices = tuple(params["gpus"])
+        group = self._perf_groups.get(devices)
+        if group is None:
+            group = self._perf_groups[devices] = []
+            self._perf_waiting.append(devices)
+        group.append((key, dict(params), fut))
+        self._start_perf_batches()
 
-    async def _flush_after_window(self) -> None:
-        await asyncio.sleep(self.batch_window_s)
-        pending, self._pending_perf = self._pending_perf, {}
-        for group in pending.values():
-            self._spawn(self._run_perf_batch(group))
+    def _start_perf_batches(self) -> None:
+        """Give waiting groups the pool's free workers, oldest first."""
+        while self._perf_waiting and self._perf_batches < self.pool.workers:
+            self._perf_batches += 1
+            task = self._spawn(
+                self._run_perf_batch(self._perf_waiting.popleft()))
+            task.add_done_callback(self._perf_batch_done)
 
-    async def _run_perf_batch(
-            self, group: list[tuple[str, dict[str, Any], asyncio.Future]]
-    ) -> None:
+    def _perf_batch_done(self, task: asyncio.Task) -> None:
+        # a done callback, so a batch cancelled before its first step
+        # frees its worker too
+        self._perf_batches -= 1
+        self._start_perf_batches()
+
+    async def _run_perf_batch(self, devices: tuple[str, ...]) -> None:
+        # the group closes at the task's first step (the next loop tick):
+        # queries submitted in the same tick are in it, later ones open
+        # a new group
+        group = self._perf_groups.pop(devices)
         self.telemetry.inc("perf_batches_total")
         if len(group) > 1:
             self.telemetry.inc("perf_batched_queries_total", len(group))
@@ -280,5 +307,6 @@ class Scheduler:
         """Cancel every scheduler task and drop the bookkeeping."""
         for task in self._tasks:
             task.cancel()
-        self._pending_perf.clear()
+        self._perf_groups.clear()
+        self._perf_waiting.clear()
         self._inflight.clear()

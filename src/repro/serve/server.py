@@ -78,7 +78,6 @@ class ServeConfig:
     rate: float | None = None
     burst: float | None = None
     default_deadline_s: float = 30.0
-    batch_window_s: float = 0.005
     breaker_threshold: int = 5
     breaker_cooldown_s: float = 10.0
     results_cap: int = 1024
@@ -119,9 +118,9 @@ def _build_parts(config: ServeConfig,
     if clock is not None:
         admission_kwargs["clock"] = clock
     admission = AdmissionController(**admission_kwargs)
-    pool = ModelPool(workers=config.workers, mode=config.pool_mode)
+    pool = ModelPool(workers=config.workers, mode=config.pool_mode,
+                     telemetry=telemetry)
     scheduler_kwargs: dict[str, Any] = dict(
-        batch_window_s=config.batch_window_s,
         inner_jobs=config.inner_jobs,
         results_cap=config.results_cap)
     if resolver is not None:
@@ -396,8 +395,6 @@ class CharacterizationService:
         sock = self._tcp_server.sockets[0]
         host, port = sock.getsockname()[:2]
         self.telemetry.gauge("listen", f"{host}:{port}")
-        self.telemetry.gauge("pool_mode", self.pool.mode)
-        self.telemetry.gauge("pool_workers", self.pool.workers)
         return host, port
 
     async def stop(self) -> None:

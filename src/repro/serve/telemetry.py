@@ -1,13 +1,15 @@
 """Service observability: trace spans, rolling histograms, counters.
 
-Every request carries a :class:`Trace` through the pipeline; its phases
-(``queue`` — admission and batch-window wait, ``resolve`` — key
-derivation and scheduling, ``model`` — pool execution, ``serialize`` —
-response encoding) are stamped into the response and accumulated into the
-service-wide :class:`Telemetry` registry.  Latencies feed per-kind
-rolling histograms (bounded windows, so a long-lived server's memory and
-percentile cost stay constant) and everything is exported as one JSON
-snapshot — the ``metrics`` query kind, this service's ``/metrics``.
+Every request carries a :class:`Trace` through the pipeline.  Its
+phases are ``queue`` (admission and handing the job to the scheduler;
+nothing waits here), ``resolve`` (key derivation), ``model`` (the wait
+for the answer: a perf query's wait for its batch to start, then pool
+execution) and ``serialize`` (response encoding).  They are stamped into
+the response and accumulated into the service-wide :class:`Telemetry`
+registry.  Latencies feed per-kind rolling histograms (bounded windows,
+so a long-lived server's memory and percentile cost stay constant) and
+everything is exported as one JSON snapshot — the ``metrics`` query
+kind, this service's ``/metrics``.
 """
 
 from __future__ import annotations

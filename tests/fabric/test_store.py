@@ -56,8 +56,7 @@ class TestWarmRestart:
         """Acceptance drill: kill a persistent shard, restart it, and the
         first repeated query is served from the store — the resolver runs
         exactly once across both service lifetimes."""
-        config = ServeConfig(pool_mode="thread", workers=1,
-                             batch_window_s=0.01, shard_id="s0",
+        config = ServeConfig(pool_mode="thread", workers=1, shard_id="s0",
                              persist=True,
                              store_dir=str(tmp_path / "store"))
         resolver = CountingResolver()
@@ -80,8 +79,7 @@ class TestWarmRestart:
         assert resolver.calls == 1
 
     def test_fresh_queries_bypass_the_store(self, tmp_path):
-        config = ServeConfig(pool_mode="thread", workers=1,
-                             batch_window_s=0.01, persist=True,
+        config = ServeConfig(pool_mode="thread", workers=1, persist=True,
                              store_dir=str(tmp_path / "store"))
         resolver = CountingResolver()
 

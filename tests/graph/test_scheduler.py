@@ -6,7 +6,12 @@ insertion orders, and completion races — and the concurrency policy
 serializes exactly the nodes the determinism facts cannot prove pure.
 """
 
+import json
+import os
 import random
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +23,7 @@ from repro.graph import (
     TaskNode,
     graph_enabled,
 )
-from repro.graph.policy import function_fid
+from repro.graph.policy import function_fid, load_facts
 from repro.perf.executor import WorkerTaskError
 from repro.perf.instrument import (
     reset_stage_timings,
@@ -177,6 +182,97 @@ class TestPolicy:
             entry = policy.facts["purity"][function_fid(fn)]
             assert entry["pure"] is True and not entry.get("ambient")
             assert policy.concurrent(node)
+
+
+class TestFactsLoading:
+    """The facts artifact is parsed once per process and file version."""
+
+    @staticmethod
+    def count_reads(monkeypatch):
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counting(self):
+            reads.append(self)
+            return read_bytes(self)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        return reads
+
+    def test_unchanged_file_is_not_parsed_again(self, tmp_path,
+                                                monkeypatch):
+        path = tmp_path / "facts.json"
+        path.write_text(json.dumps({"purity": {}}))
+        reads = self.count_reads(monkeypatch)
+        first = load_facts(path)
+        assert first == {"purity": {}}
+        assert load_facts(path) is first
+        assert ConcurrencyPolicy(path=path).facts is first
+        assert reads == [path]
+
+    def test_rewritten_file_is_read_again(self, tmp_path, monkeypatch):
+        path = tmp_path / "facts.json"
+        path.write_text(json.dumps({"version": 1}))
+        reads = self.count_reads(monkeypatch)
+        assert load_facts(path) == {"version": 1}
+        # same size, newer modification time
+        path.write_text(json.dumps({"version": 2}))
+        st = path.stat()
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        assert load_facts(path) == {"version": 2}
+        # new size, same modification time
+        st = path.stat()
+        path.write_text(json.dumps({"version": 30}))
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert load_facts(path) == {"version": 30}
+        assert len(reads) == 3
+
+    def test_missing_or_bad_file_is_not_remembered(self, tmp_path):
+        path = tmp_path / "facts.json"
+        assert load_facts(path) is None
+        path.write_text("{not json")
+        assert load_facts(path) is None
+        path.write_text(json.dumps({"purity": {}}))
+        assert load_facts(path) == {"purity": {}}
+
+    def test_threads_racing_rewrites_end_on_the_last_version(self,
+                                                            tmp_path):
+        """Readers racing a writer may store an older document, but never
+        under the current file's stamp."""
+        path = tmp_path / "facts.json"
+        base_ns = path.parent.stat().st_mtime_ns
+
+        def publish(version):
+            # atomic replace with a distinct mtime per version, so no
+            # two versions share a stamp
+            tmp = tmp_path / "facts.tmp"
+            tmp.write_text(json.dumps({"version": version}))
+            os.utime(tmp, ns=(base_ns, base_ns + version * 10**9))
+            os.replace(tmp, path)
+
+        publish(0)
+        seen, done = [], threading.Event()
+
+        def reader():
+            while not done.is_set():
+                seen.append(load_facts(path))
+
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in readers:
+                t.start()
+            for version in range(1, 100):
+                publish(version)
+        finally:
+            done.set()
+            for t in readers:
+                t.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers)
+        assert seen and all(isinstance(doc["version"], int) for doc in seen)
+        assert load_facts(path) == {"version": 99}
 
 
 class TestObservability:

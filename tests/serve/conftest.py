@@ -21,5 +21,4 @@ def run(coro):
 def thread_config():
     """A fast, injectable service config: ephemeral port, thread pool."""
     return ServeConfig(host="127.0.0.1", port=0, pool_mode="thread",
-                       workers=2, batch_window_s=0.01,
-                       default_deadline_s=10.0)
+                       workers=2, default_deadline_s=10.0)

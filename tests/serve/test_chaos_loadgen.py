@@ -44,8 +44,7 @@ def test_chaos_mini_loadgen_zero_wrong_answers(isolated_cache):
     faults.install_plan("serve.conn_drop=0.2,cache.read_corrupt=0.2,"
                         "cache.write_fail=0.2,seed=7")
     config = ServeConfig(host="127.0.0.1", port=0, pool_mode="thread",
-                         workers=2, batch_window_s=0.005,
-                         default_deadline_s=10.0)
+                         workers=2, default_deadline_s=10.0)
     with HostedService(config) as hosted:
         host, port = hosted.address
         summary = run_loadgen(host, port, clients=3, duration_s=2.0,

@@ -28,8 +28,7 @@ TOKEN = "hunter2"
 @pytest.fixture(scope="module")
 def auth_service():
     config = ServeConfig(host="127.0.0.1", port=0, pool_mode="thread",
-                         workers=1, batch_window_s=0.01, shard_id="s9",
-                         token=TOKEN)
+                         workers=1, shard_id="s9", token=TOKEN)
     with HostedService(config) as hosted:
         yield hosted.address
 
@@ -67,7 +66,7 @@ class TestHandshakeAccepts:
         """A client configured with a token can still talk to a plain
         server: the handshake gets a friendly OK instead of an error."""
         config = ServeConfig(host="127.0.0.1", port=0, pool_mode="thread",
-                             workers=1, batch_window_s=0.01)
+                             workers=1)
         with HostedService(config) as hosted:
             with ServeClient(*hosted.address, token="whatever") as client:
                 assert client.query("ping").result == "pong"
@@ -149,8 +148,8 @@ class TestFraming:
 class TestPerTokenRate:
     def test_second_immediate_query_is_rate_limited(self):
         config = ServeConfig(host="127.0.0.1", port=0, pool_mode="thread",
-                             workers=1, batch_window_s=0.01,
-                             token=TOKEN, auth_rate=0.001, auth_burst=1.0)
+                             workers=1, token=TOKEN, auth_rate=0.001,
+                             auth_burst=1.0)
         with HostedService(config) as hosted:
             with ServeClient(*hosted.address, token=TOKEN) as client:
                 first = client.query("ping")

@@ -1,12 +1,14 @@
 """Scheduler: coalescing bit-identity, served-result cache, perf batching."""
 
 import asyncio
+import dataclasses
 import json
 import threading
 
 import pytest
 
-from repro.serve import CharacterizationService
+from repro.serve import CharacterizationService, ServeClient
+from repro.serve.loadgen import ServerHost
 from repro.serve.protocol import Request, normalize_params
 from repro.serve.queries import resolve_perf_batch, resolve_query
 from repro.serve.scheduler import ModelPool, query_key
@@ -33,6 +35,43 @@ class BlockingResolver:
         if not self.release.wait(timeout=10):
             raise TimeoutError("test never released the resolver")
         return {"kind": kind, "echo": dict(params), "tag": len(self.calls)}
+
+
+class BlockingBatchResolver:
+    """A ``perf_batch_resolver`` the test can hold open and release; it
+    records each batch as (device list, [workloads of each query])."""
+
+    def __init__(self):
+        self.started = threading.Event()
+        self.release = threading.Event()
+        self.batches = []
+
+    def __call__(self, param_sets, inner_jobs):
+        self.batches.append((tuple(param_sets[0]["gpus"]),
+                             [list(p["workloads"]) for p in param_sets]))
+        self.started.set()
+        if not self.release.wait(timeout=10):
+            raise TimeoutError("test never released the resolver")
+        return [{"echo": dict(p)} for p in param_sets]
+
+
+def perf_request(workload, gpu):
+    return make_request("perf", {"workloads": [workload], "gpus": [gpu]})
+
+
+def type_error_resolver(kind, params):
+    """Module-level, so a process pool can pickle it."""
+    raise TypeError("unsupported operand type(s) for +: 'int' and 'str'")
+
+
+class UnpicklableResolver:
+    """Holds a lock, so a process pool cannot send it to a worker."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def __call__(self, kind, params):
+        return {"kind": kind}
 
 
 async def settle(predicate, timeout_s=5.0):
@@ -217,6 +256,74 @@ class TestPerfBatching:
             assert json.dumps(a.result, sort_keys=True) == \
                 json.dumps(want, sort_keys=True)
 
+    def test_lone_perf_query_reaches_the_pool_without_a_timer(
+            self, thread_config):
+        """On an idle pool a perf query is submitted on the next loop
+        ticks, not after a sleep: counted in ticks, not wall time."""
+        calls = []
+
+        async def fake_run(fn, param_sets, inner_jobs):
+            calls.append([p["workloads"] for p in param_sets])
+            return [{} for _ in param_sets]
+
+        async def scenario():
+            service = CharacterizationService(thread_config)
+            service.pool.run = fake_run
+            try:
+                waiter = asyncio.ensure_future(
+                    service.handle(perf_request("gemv", "A100")))
+                for _ in range(2):
+                    await asyncio.sleep(0)
+                reached = list(calls)
+                await waiter
+                return reached
+            finally:
+                await service.stop()
+
+        assert run(scenario()) == [[["gemv"]]]
+
+    def test_busy_pool_groups_waiting_queries_by_device_list(
+            self, thread_config):
+        """With every worker running a perf batch, new perf queries wait;
+        each device list's waiting queries go out as one batch when a
+        running batch finishes."""
+        resolver = BlockingBatchResolver()
+        config = dataclasses.replace(thread_config, workers=1)
+
+        async def scenario():
+            service = CharacterizationService(
+                config, perf_batch_resolver=resolver)
+            try:
+                tasks = [asyncio.ensure_future(
+                    service.handle(perf_request("gemv", "A100")))]
+                await settle(resolver.started.is_set)
+                # separate ticks and wall time: these group because the
+                # pool is busy, not because they arrived together
+                for workload, gpu in (("scan", "A100"), ("gemv", "H200"),
+                                      ("spmv", "A100")):
+                    tasks.append(asyncio.ensure_future(
+                        service.handle(perf_request(workload, gpu))))
+                    await asyncio.sleep(0.02)
+                assert len(resolver.batches) == 1
+                resolver.release.set()
+                answers = await asyncio.gather(*tasks)
+                return answers, service.telemetry.snapshot()["counters"]
+            finally:
+                resolver.release.set()
+                await service.stop()
+
+        answers, counters = run(scenario())
+        assert resolver.batches == [
+            (("A100",), [["gemv"]]),
+            (("A100",), [["scan"], ["spmv"]]),
+            (("H200",), [["gemv"]]),
+        ]
+        assert all(a.ok and a.served_by == "model" for a in answers)
+        assert [a.result["echo"]["workloads"] for a in answers] == \
+            [["gemv"], ["scan"], ["gemv"], ["spmv"]]
+        assert counters["perf_batches_total"] == 3
+        assert counters["perf_batched_queries_total"] == 2
+
 
 class TestFailures:
     def test_resolver_error_becomes_model_error(self, thread_config):
@@ -239,32 +346,78 @@ class TestFailures:
         assert "ValueError" in resp.error["message"]
 
     def test_abort_starts_no_model_work_after_the_kill(self, thread_config):
-        """A perf query still inside its batch window when the service is
-        aborted never reaches the model pool: the loop may go on hosting
-        other services, so the kill must stop the scheduler too."""
-        batches = []
-
-        def perf_batch_resolver(param_sets, inner_jobs):
-            batches.append(param_sets)
-            return [{} for _ in param_sets]
+        """A perf query queued behind a running batch when the service is
+        aborted never reaches the model pool, even after that batch's
+        worker frees: the loop may go on hosting other services, so the
+        kill must stop the scheduler too."""
+        resolver = BlockingBatchResolver()
+        config = dataclasses.replace(thread_config, workers=1)
 
         async def scenario():
             service = CharacterizationService(
-                thread_config, perf_batch_resolver=perf_batch_resolver)
-            waiter = asyncio.get_running_loop().create_task(service.handle(
-                make_request("perf", {"workloads": ["gemv"],
-                                      "gpus": ["A100"]})))
-            await settle(lambda: service.scheduler.inflight_count() == 1)
+                config, perf_batch_resolver=resolver)
+            waiters = [asyncio.ensure_future(
+                service.handle(perf_request("gemv", "A100")))]
+            await settle(resolver.started.is_set)
+            waiters.append(asyncio.ensure_future(
+                service.handle(perf_request("scan", "A100"))))
+            await settle(lambda: service.scheduler.inflight_count() == 2)
             await service.abort()
-            await asyncio.sleep(thread_config.batch_window_s * 5)
+            resolver.release.set()
+            # room for the freed worker to pick up anything still queued
+            await asyncio.sleep(0.05)
             executor = service.pool._executor
-            waiter.cancel()
-            await asyncio.gather(waiter, return_exceptions=True)
+            for waiter in waiters:
+                waiter.cancel()
+            await asyncio.gather(*waiters, return_exceptions=True)
             await service.stop()
             return executor
 
         assert run(scenario()) is None  # the pool was not brought back
-        assert batches == []
+        assert resolver.batches == [(("A100",), [["gemv"]])]
+
+    def test_resolver_type_error_keeps_the_process_pool(self,
+                                                        thread_config):
+        """A resolver's own TypeError is its answer, not a sign that the
+        process pool is unusable."""
+        config = dataclasses.replace(thread_config, pool_mode="process",
+                                     workers=1)
+
+        async def scenario():
+            service = CharacterizationService(
+                config, resolver=type_error_resolver)
+            try:
+                resp = await service.handle(
+                    make_request("edp", {"workload": "gemv"}))
+                return resp, service.pool.mode
+            finally:
+                await service.stop()
+
+        resp, mode = run(scenario())
+        assert not resp.ok
+        assert resp.error["code"] == "model_error"
+        assert "TypeError" in resp.error["message"]
+        assert mode == "process"
+
+    def test_degrade_shows_in_metrics(self, thread_config):
+        """An unpicklable resolver degrades a process pool to threads;
+        the ``metrics`` answer reports the live mode and counts it."""
+        config = dataclasses.replace(thread_config, pool_mode="process",
+                                     workers=1)
+        host = ServerHost()
+        try:
+            address = host.serve(CharacterizationService(
+                config, resolver=UnpicklableResolver()))
+            with ServeClient(*address) as client:
+                before = client.query("metrics").result
+                answer = client.query("edp", {"workload": "gemv"})
+                after = client.query("metrics").result
+        finally:
+            host.stop()
+        assert before["gauges"]["pool_mode"] == "process"
+        assert answer.ok and answer.result == {"kind": "edp"}
+        assert after["gauges"]["pool_mode"] == "thread"
+        assert after["counters"]["pool_degrades_total"] == 1
 
     def test_pool_rejects_bad_settings(self):
         with pytest.raises(ValueError):
