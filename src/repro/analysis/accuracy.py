@@ -152,8 +152,7 @@ def _audit_one(workload: Workload, device: Device,
 
 
 def accuracy_tables(workloads, device: Device, seed: int = AUDIT_SEED, *,
-                    n_jobs: int | None = None,
-                    executor: ParallelExecutor | None = None
+                    n_jobs: int | None = None
                     ) -> dict[str, list[ErrorEntry]]:
     """The whole Table 6 audit, fanned out per floating-point workload.
 
@@ -163,8 +162,7 @@ def accuracy_tables(workloads, device: Device, seed: int = AUDIT_SEED, *,
     fan-out; results are returned keyed by workload name.
     """
     fp = [w for w in workloads if w.floating_point]
-    ex = executor if executor is not None else ParallelExecutor(n_jobs)
-    tables = ex.starmap(
+    tables = ParallelExecutor(n_jobs).starmap(
         _audit_one, [(w, device, seed) for w in fp], chunk_size=1,
         labels=[f"accuracy {w.name}" for w in fp],
         stage_names=[f"accuracy.audit:{w.name}" for w in fp])

@@ -15,12 +15,11 @@ from typing import Callable, Iterable
 import numpy as np
 
 from ..gpu.device import Device
-from ..graph import GraphScheduler, TaskGraph, TaskNode, graph_enabled
+from ..graph import GraphScheduler, TaskGraph, TaskNode
 from ..kernels.base import (Quadrant, Variant, Workload, install_stats,
                             stats_node)
 from ..kernels import all_workloads, get_workload
 from ..perf.cache import content_key, default_cache, package_source_token
-from ..perf.executor import ParallelExecutor
 from ..perf.instrument import stage
 from .accuracy import AUDIT_SEED, accuracy_table, accuracy_tables
 from .edp import edp_study, quadrant_geomeans
@@ -386,39 +385,24 @@ def build_observations_graph(workloads: list[Workload] | None = None,
 
 def verify_all(workloads: list[Workload] | None = None,
                devices: list[Device] | None = None,
-               *, n_jobs: int | None = None,
-               executor: ParallelExecutor | None = None,
-               mode: str | None = None) -> list[ObservationResult]:
+               *, n_jobs: int | None = None) -> list[ObservationResult]:
     """Evaluate all nine observations; returns them in order.
 
-    The default path emits the audit as a task graph
-    (:func:`build_observations_graph`) and drains it through the
-    :class:`~repro.graph.GraphScheduler`, so dataset generation,
-    accuracy audits, analytic stats and observations overlap instead of
-    running as staged barriers.  For the default suite, verdicts already
-    in the result cache are read first and only the rest enter the
-    graph, so a warm audit computes no stats.  ``mode="staged"`` (or
-    ``REPRO_GRAPH=0``, or passing an ``executor``) falls back to the
-    legacy staged fan-out — bit-identical by construction, asserted by
-    ``tests/graph/``.  Results are ordered by observation number
-    regardless of mode or ``n_jobs``.
+    Emits the audit as a task graph (:func:`build_observations_graph`)
+    and drains it through the :class:`~repro.graph.GraphScheduler`, so
+    dataset generation, accuracy audits, analytic stats and observations
+    overlap instead of running as staged barriers.  For the default
+    suite, verdicts already in the result cache are read first and only
+    the rest enter the graph, so a warm audit computes no stats.  Results
+    are ordered by observation number regardless of ``n_jobs``.
     """
-    if executor is None and graph_enabled(mode):
-        numbers = range(1, len(OBSERVATIONS) + 1)
-        with stage("analysis.verify_all"):
-            done = _cached_verdicts() \
-                if workloads is None and devices is None else {}
-            graph = build_observations_graph(
-                workloads, devices,
-                numbers=[n for n in numbers if n not in done])
-            results = GraphScheduler(n_jobs).run(graph)
-        return [done[n] if n in done else results[f"observation:{n:02d}"]
-                for n in numbers]
-    ex = executor if executor is not None else ParallelExecutor(n_jobs)
-    tasks = [(i, workloads, devices) for i in range(len(OBSERVATIONS))]
+    numbers = range(1, len(OBSERVATIONS) + 1)
     with stage("analysis.verify_all"):
-        return ex.map(_run_observation, tasks, chunk_size=1,
-                      labels=[f"observation {i + 1}"
-                              for i in range(len(OBSERVATIONS))],
-                      stage_names=[f"verify.observation:{i + 1}"
-                                   for i in range(len(OBSERVATIONS))])
+        done = _cached_verdicts() \
+            if workloads is None and devices is None else {}
+        graph = build_observations_graph(
+            workloads, devices,
+            numbers=[n for n in numbers if n not in done])
+        results = GraphScheduler(n_jobs).run(graph)
+    return [done[n] if n in done else results[f"observation:{n:02d}"]
+            for n in numbers]

@@ -84,13 +84,9 @@ def _static_findings(root: Path, n_jobs: int | None) -> list[Finding]:
     """
     tasks = [(str(root), p.relative_to(root).as_posix())
              for p in sorted(root.rglob("*.py"))]
-    if n_jobs is None or n_jobs == 1:
-        per_file = [_check_file(t) for t in tasks]
-    else:
-        ex = ParallelExecutor(n_jobs)
-        per_file = ex.map(_check_file, tasks,
-                          labels=[t[1] for t in tasks],
-                          stage_names=[f"check/{t[1]}" for t in tasks])
+    per_file = ParallelExecutor(n_jobs or 1).map(
+        _check_file, tasks, labels=[t[1] for t in tasks],
+        stage_names=[f"check/{t[1]}" for t in tasks])
     findings = [f for fs in per_file for f in fs]
     findings.sort(key=lambda f: (f.path, f.line or 0, f.rule, f.symbol))
     return dedupe_findings(findings)

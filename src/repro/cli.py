@@ -783,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="model pool kind (process pools degrade to "
                             "threads automatically where unavailable)")
         p.add_argument("--inner-jobs", type=int, default=1,
-                       help="ParallelExecutor jobs inside one (batched) "
+                       help="graph-scheduler jobs inside one (batched) "
                             "perf grid evaluation")
         p.add_argument("--queue-depth", type=int, default=64,
                        help="max distinct in-flight model jobs")
@@ -1003,8 +1003,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # an explicit --jobs wins everywhere: exporting it as REPRO_JOBS makes
     # every scheduler and executor constructed deeper in the call stack
-    # (graph scheduler, nested fan-outs, bench subprocesses) resolve to
-    # the same width instead of falling back to the CPU count
+    # (graph scheduler, maps, bench subprocesses) resolve to the same
+    # width instead of falling back to the CPU count; fan-outs inside a
+    # pool worker still run in-process
     if getattr(args, "jobs", None) is not None:
         os.environ["REPRO_JOBS"] = str(args.jobs)
     try:
@@ -1012,7 +1013,7 @@ def main(argv: list[str] | None = None) -> int:
             rc = args.fn(args)
     except KeyboardInterrupt:
         # worker pools re-raise a clean KeyboardInterrupt after
-        # cancelling pending chunks (perf.executor); no tracebacks
+        # cancelling pending nodes (graph.scheduler); no tracebacks
         print("interrupted", file=sys.stderr)
         return 130
     except BrokenPipeError:

@@ -95,12 +95,11 @@ def _build_csr(draw: _CooDraw) -> CsrMatrix:
 
 
 def matrix_population(count: int = 2893, seed: int = 1325,
-                      max_rows: int = 2048, *, n_jobs: int | None = None,
-                      executor: ParallelExecutor | None = None
+                      max_rows: int = 2048, *, n_jobs: int | None = None
                       ) -> Iterator[CsrMatrix]:
     """Yield ``count`` small matrices sweeping the structural axes."""
     rng = Lcg(seed)
-    ex = executor if executor is not None else ParallelExecutor(n_jobs)
+    ex = ParallelExecutor(n_jobs)
     batch: list[_CooDraw] = []
     for i in range(count):
         family = _MATRIX_FAMILIES[i % len(_MATRIX_FAMILIES)]
@@ -176,13 +175,12 @@ def _draw_graph(i: int, rng: Lcg, max_vertices: int) -> _GraphDraw:
 
 
 def graph_population(count: int = 499, seed: int = 1325,
-                     max_vertices: int = 4096, *, n_jobs: int | None = None,
-                     executor: ParallelExecutor | None = None
+                     max_vertices: int = 4096, *, n_jobs: int | None = None
                      ) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
     """Yield ``count`` small graphs as (src, dst, n) triplets, alternating
     uniform, power-law, grid-like, and community-structured families."""
     rng = Lcg(seed)
-    ex = executor if executor is not None else ParallelExecutor(n_jobs)
+    ex = ParallelExecutor(n_jobs)
     batch: list[_GraphDraw] = []
     for i in range(count):
         batch.append(_draw_graph(i, rng, max_vertices))

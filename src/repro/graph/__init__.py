@@ -1,46 +1,23 @@
-"""Dataflow task-graph execution over the whole pipeline.
+"""Dataflow task-graph execution: the pipeline's one execution path.
 
-The staged loops the harness grew up with (dataset-gen, then
-sweep-execute, then audit — one barrier per stage) are replaced here by
-an explicit task graph: :class:`TaskNode`\\ s keyed by the pipeline's
-content-key vocabulary, collected in a :class:`TaskGraph`, and drained
-by the :class:`GraphScheduler` through the same process-pool machinery
-as :class:`~repro.perf.executor.ParallelExecutor` — so dataset
-generation for one workload overlaps the accuracy audit of another, and
-serve's batched perf queries are just another graph consumer.
+The pipeline is an explicit task graph: :class:`TaskNode`\\ s keyed by
+the pipeline's content-key vocabulary, collected in a
+:class:`TaskGraph`, and drained by the :class:`GraphScheduler` — the one
+process-pool engine — so dataset generation for one workload overlaps
+the accuracy audit of another, and serve's batched perf queries are just
+another graph consumer.  :class:`~repro.perf.executor.ParallelExecutor`
+maps run on the same scheduler, one node per chunk.
 
 Concurrency eligibility comes from the determinism proof engine's
 exported facts (:mod:`repro.graph.policy`); the tie-break order is
-deterministic (:meth:`TaskGraph.order`), so graph execution is
-bit-identical to the staged path it replaces — asserted by
-``tests/graph/`` against the recorded accuracy digests.
-
-``REPRO_GRAPH=0`` falls every rewired pipeline back to its legacy
-staged loop (the identity tests' reference path).
+deterministic (:meth:`TaskGraph.order`), so a run is bit-identical at any
+worker count — asserted against the serial path and the recorded
+digests.
 """
-
-from __future__ import annotations
-
-import os
 
 from .node import TaskGraph, TaskNode
 from .policy import ConcurrencyPolicy, default_facts_path, load_facts
 from .scheduler import GraphScheduler, GraphStats
 
 __all__ = ["TaskGraph", "TaskNode", "ConcurrencyPolicy", "GraphScheduler",
-           "GraphStats", "default_facts_path", "load_facts",
-           "graph_enabled"]
-
-
-def graph_enabled(mode: str | None = None) -> bool:
-    """Resolve an execution mode: explicit ``mode`` > ``REPRO_GRAPH`` env.
-
-    ``mode`` is ``"graph"`` or ``"staged"`` (None defers to the
-    environment); graph execution is the default.
-    """
-    if mode is not None:
-        if mode not in ("graph", "staged"):
-            raise ValueError(
-                f"mode must be 'graph' or 'staged', got {mode!r}")
-        return mode == "graph"
-    return os.environ.get("REPRO_GRAPH", "1").strip() != "0"
+           "GraphStats", "default_facts_path", "load_facts"]

@@ -10,10 +10,9 @@ attribution group), and computed by a module-level callable.
 :class:`TaskGraph` collects nodes and their dependency edges and
 produces a *deterministic* topological order: ready nodes are always
 drained smallest-key-first, so the order depends only on the node set
-and the edges — never on insertion order.  That tie-break is what makes
-graph execution reproducible (and, because every node callable is one of
-the pipeline's existing deterministic functions, bit-identical to the
-staged loops it replaces).
+and the edges — never on insertion order.  That tie-break, and node
+callables that are deterministic functions of their arguments, make a
+graph run reproducible at any worker count.
 """
 
 from __future__ import annotations
@@ -30,8 +29,7 @@ class TaskNode:
     """One schedulable unit of pipeline work.
 
     ``fn`` must be a module-level (picklable) callable — the scheduler
-    ships nodes to pool workers exactly like
-    :class:`~repro.perf.executor.ParallelExecutor` ships chunks.
+    ships nodes to pool workers.
     ``deps`` name the keys of nodes that must complete first; the
     scheduler calls ``fn(*args, *inputs)`` with their values as
     ``inputs``, in ``deps`` order.  ``kind`` becomes the node's
@@ -78,7 +76,7 @@ class TaskGraph:
             raise ValueError(
                 f"node {node.key!r}: fn {qualname!r} is not a "
                 "module-level function; graph nodes must pickle to pool "
-                "workers (same contract as ParallelExecutor dispatch)")
+                "workers")
         self._nodes[node.key] = node
         return node
 

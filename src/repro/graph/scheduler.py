@@ -1,12 +1,11 @@
-"""The dataflow scheduler: drain ready nodes through a shared pool.
+"""The pipeline's one process-pool engine: drain a task graph.
 
 :class:`GraphScheduler` executes a :class:`~repro.graph.node.TaskGraph`
-with the same contract :class:`~repro.perf.executor.ParallelExecutor`
-gives staged fan-outs — deterministic results, stage attribution across
-the process boundary, and fault recovery — but without stage barriers:
-a ready node runs the moment its dependencies complete, so dataset
-generation for workload B overlaps the accuracy audit of workload A and
-the per-observation audit nodes of both.
+with deterministic results, stage attribution across the process
+boundary, and fault recovery, but without stage barriers: a ready node
+runs the moment its dependencies complete.  It is the only code that
+opens a process pool for the pipeline; ``ParallelExecutor.map`` runs
+each of its chunks as one node of an edge-free graph.
 
 Edges carry values: every node runs as ``fn(*args, *inputs)``, where
 ``inputs`` are the values of its ``deps`` in ``deps`` order — on the
@@ -19,17 +18,19 @@ Execution model:
   in the graph's deterministic topological order.  No pool, no fault
   injection, results bit-identical to the pooled path by construction
   (every node callable is a deterministic function of its arguments).
-* pooled: ready nodes are submitted smallest-key-first as single-node
-  chunks through :func:`~repro.perf.executor._run_chunk_remote` — the
-  same worker entry the executor uses, so stage-registry snapshots ship
-  back per node and the ``executor.worker_crash`` / ``worker_hang``
-  fault sites fire under keys ``graph:<node key>:<attempt>``.
-* recovery mirrors the executor: a broken pool or a hung node ends the
-  *round* — completed in-flight results are harvested (never
-  recomputed), the pool is rebuilt with backoff, and the survivors are
-  resubmitted; after ``max_retries`` failed rounds the remaining nodes
-  degrade to the in-process serial path.  Deterministic task errors
-  (:class:`~repro.perf.executor.WorkerTaskError`) propagate immediately.
+* pooled: ready nodes are submitted smallest-key-first through the
+  pool-worker entry :func:`~repro.perf.executor._run_chunk_remote`, so
+  stage-registry snapshots ship back per node and the
+  ``executor.worker_crash`` / ``worker_hang`` fault sites fire under
+  keys ``graph:<node key>:<attempt>``.
+* recovery (docs/ROBUSTNESS.md): a ``BrokenProcessPool``, an
+  ``OSError``, or a round in which no node finished within
+  ``chunk_timeout_s`` fails the round — completed results are harvested
+  (never recomputed), the pool's workers are terminated, and the rest
+  are resubmitted to a rebuilt pool with backoff, degrading to the
+  in-process serial path after ``max_retries`` failed rounds.  Any other
+  exception (a :class:`~repro.perf.executor.WorkerTaskError`, a payload
+  that cannot pickle) kills the pool and propagates at once.
 * nodes the :class:`~repro.graph.policy.ConcurrencyPolicy` marks
   exclusive (impure per ``determinism_facts.json``) never enter the
   pool: the scheduler drains in-flight work, then runs them in the
@@ -47,17 +48,39 @@ import heapq
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..perf.executor import (ParallelExecutor, WorkerTaskError, _env_float,
-                             _env_int, _run_chunk_remote, resolve_n_jobs)
+from ..perf.executor import (WorkerTaskError, _env_float, _env_int,
+                             _run_chunk_remote, resolve_n_jobs)
 from ..perf.instrument import (merge_stage_timings, note_graph_run,
                                note_worker_count, stage)
 from .node import TaskGraph, TaskNode
 from .policy import ConcurrencyPolicy
 
 __all__ = ["GraphScheduler", "GraphStats"]
+
+
+def _kill_pool(pool: ProcessPoolExecutor) -> None:
+    """Tear a pool down without waiting on hung or dead workers.
+
+    The worker handles are read before ``shutdown``, which drops the
+    pool's reference to them.  The pool's manager thread sees the
+    workers die and reaps them; joining it first keeps a second thread
+    from racing it to ``waitpid``."""
+    procs = list((pool._processes or {}).values())
+    manager = pool._executor_manager_thread
+    pool.shutdown(wait=False, cancel_futures=True)
+    for proc in procs:
+        with suppress(OSError, ValueError):  # already gone
+            proc.terminate()
+    if manager is not None:
+        manager.join(timeout=5)
+    for proc in procs:
+        with suppress(OSError, ValueError):
+            proc.join(timeout=5)
 
 
 def _exec_node(item: tuple) -> tuple[Any, float]:
@@ -109,37 +132,30 @@ class GraphStats:
 class GraphScheduler:
     """Execute a :class:`TaskGraph`; results keyed by node key.
 
-    ``executor`` donates its pool configuration (jobs, per-chunk
-    timeout, retry cap, backoff) so graph and staged execution share one
-    tuning surface; otherwise ``n_jobs`` resolves exactly like the
-    executor's (explicit > ``REPRO_JOBS`` > CPU count) and the timeout /
-    retry knobs read ``REPRO_CHUNK_TIMEOUT_S`` / ``REPRO_EXECUTOR_RETRIES``.
+    ``n_jobs`` resolves like every worker count (explicit >
+    ``REPRO_JOBS`` > CPU count; 1 inside a pool worker).
+    ``chunk_timeout_s`` ends a pool round in which no node finishes in
+    time (default ``REPRO_CHUNK_TIMEOUT_S``; unset = wait forever);
+    ``max_retries`` caps the failed rounds before the remaining nodes
+    degrade to the serial path (default ``REPRO_EXECUTOR_RETRIES``, else
+    3); backoff between rounds grows ``backoff_base_s * 2**round`` up to
+    ``backoff_cap_s``.
     """
 
     def __init__(self, n_jobs: int | None = None, *,
-                 executor: ParallelExecutor | None = None,
                  policy: ConcurrencyPolicy | None = None,
                  chunk_timeout_s: float | None = None,
                  max_retries: int | None = None,
                  backoff_base_s: float = 0.05,
                  backoff_cap_s: float = 2.0) -> None:
-        if executor is not None:
-            self.n_jobs = executor.n_jobs
-            self.chunk_timeout_s = executor.chunk_timeout_s \
-                if chunk_timeout_s is None else chunk_timeout_s
-            self.max_retries = executor.max_retries \
-                if max_retries is None else max_retries
-            self.backoff_base_s = executor.backoff_base_s
-            self.backoff_cap_s = executor.backoff_cap_s
-        else:
-            self.n_jobs = resolve_n_jobs(n_jobs)
-            self.chunk_timeout_s = chunk_timeout_s \
-                if chunk_timeout_s is not None \
-                else _env_float("REPRO_CHUNK_TIMEOUT_S")
-            self.max_retries = max_retries if max_retries is not None \
-                else _env_int("REPRO_EXECUTOR_RETRIES", 3)
-            self.backoff_base_s = backoff_base_s
-            self.backoff_cap_s = backoff_cap_s
+        self.n_jobs = resolve_n_jobs(n_jobs)
+        self.chunk_timeout_s = chunk_timeout_s \
+            if chunk_timeout_s is not None \
+            else _env_float("REPRO_CHUNK_TIMEOUT_S")
+        self.max_retries = max_retries if max_retries is not None \
+            else _env_int("REPRO_EXECUTOR_RETRIES", 3)
+        self.backoff_base_s = backoff_base_s
+        self.backoff_cap_s = backoff_cap_s
         self.policy = policy if policy is not None else ConcurrencyPolicy()
         self.last_stats = GraphStats()
 
@@ -183,10 +199,12 @@ class GraphScheduler:
     def _run_inline(self, node: TaskNode, walls: dict[str, float],
                     results: dict[str, Any]) -> Any:
         """Run one node in-process (serial path, exclusive nodes, and the
-        degrade fallback).  No fault injection — mirrors the executor's
-        serial path, which never self-destructs."""
+        degrade fallback).  No fault injection: only pool workers
+        self-destruct."""
         try:
             value, wall = _exec_node(_call(node, results))
+        except WorkerTaskError:
+            raise  # already names its item
         except Exception as exc:
             raise WorkerTaskError(
                 f"{node.display}: {type(exc).__name__}: {exc}") from exc
@@ -226,6 +244,25 @@ class GraphScheduler:
                 if deps_left[child] == 0:
                     _enqueue(child)
 
+        def _settle(fut: Future, key: str) -> bool:
+            """Take a finished node's result; False when the pool failed
+            under it.  Any other exception propagates."""
+            exc = fut.exception()
+            if exc is None:
+                out, timings = fut.result()
+                value, wall = out[0]
+                merge_stage_timings(timings)
+                walls[key] = wall
+                _complete(key, value)
+                return True
+            if isinstance(exc, (BrokenProcessPool, OSError)):
+                return False
+            raise exc
+
+        def _retry(key: str) -> None:
+            attempts[key] += 1
+            heapq.heappush(ready, key)
+
         for key in order:
             if deps_left[key] == 0:
                 _enqueue(key)
@@ -262,39 +299,22 @@ class GraphScheduler:
                 done, _ = futures_wait(set(inflight),
                                        timeout=self.chunk_timeout_s,
                                        return_when=FIRST_COMPLETED)
-                round_failed = not done
+                round_failed = not done  # nothing finished in time
                 for fut in sorted(done, key=lambda f: inflight[f]):
                     key = inflight.pop(fut)
-                    exc = fut.exception()
-                    if exc is None:
-                        out, timings = fut.result()
-                        value, wall = out[0]
-                        merge_stage_timings(timings)
-                        walls[key] = wall
-                        _complete(key, value)
-                    elif isinstance(exc, WorkerTaskError):
-                        raise exc
-                    else:  # broken pool / OSError: retry this node
+                    if not _settle(fut, key):
                         round_failed = True
-                        attempts[key] += 1
-                        heapq.heappush(ready, key)
+                        _retry(key)
                 if not round_failed:
                     continue
-                # harvest in-flight survivors, requeue the rest, rebuild
+                # failed round: keep what finished, requeue the rest
                 for fut, key in list(inflight.items()):
-                    if fut.done() and not fut.cancelled() \
-                            and fut.exception() is None:
-                        out, timings = fut.result()
-                        value, wall = out[0]
-                        merge_stage_timings(timings)
-                        walls[key] = wall
-                        _complete(key, value)
-                    else:
-                        attempts[key] += 1
-                        heapq.heappush(ready, key)
+                    if not (fut.done() and not fut.cancelled()
+                            and _settle(fut, key)):
+                        _retry(key)
                 inflight.clear()
                 if pool is not None:
-                    ParallelExecutor._kill_pool(pool)
+                    _kill_pool(pool)
                     pool = None
                 failed_rounds += 1
                 stats.failed_rounds = failed_rounds
@@ -306,14 +326,14 @@ class GraphScheduler:
                     self.backoff_cap_s))
         except KeyboardInterrupt:
             if pool is not None:
-                ParallelExecutor._kill_pool(pool)
+                _kill_pool(pool)
             raise KeyboardInterrupt(
-                "interrupted; cancelled pending graph nodes and "
-                "retries") from None
+                "interrupted; cancelled pending nodes and retries"
+            ) from None
         except BaseException:
-            # deterministic task failure: don't hang on remaining nodes
+            # not the pool's failure: retrying would fail the same way
             if pool is not None:
-                ParallelExecutor._kill_pool(pool)
+                _kill_pool(pool)
             raise
         if pool is not None:
             pool.shutdown(wait=True)

@@ -109,8 +109,7 @@ def resumable_sweep(name: str, device: Device,
                                                      Variant.TC),
                     *, journal: SweepJournal | None = None,
                     resume: bool = False,
-                    n_jobs: int | None = None,
-                    executor: ParallelExecutor | None = None) -> dict:
+                    n_jobs: int | None = None) -> dict:
     """A size sweep that checkpoints per grid point and can resume.
 
     Returns the payload dict ``{workload, gpu, variants, points,
@@ -135,10 +134,9 @@ def resumable_sweep(name: str, device: Device,
             journal.clear()
     pending = [s for s in sizes if keys[s] not in done]
     if pending:
-        ex = executor if executor is not None else ParallelExecutor(n_jobs)
-        computed = ex.map(_sweep_size,
-                          [(name, s, device, variants) for s in pending],
-                          chunk_size=1)
+        computed = ParallelExecutor(n_jobs).map(
+            _sweep_size, [(name, s, device, variants) for s in pending],
+            chunk_size=1)
         fresh = {keys[s]: [_point_dict(p) for p in chunk]
                  for s, chunk in zip(pending, computed)}
     else:

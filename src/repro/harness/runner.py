@@ -8,10 +8,9 @@ figures.
 The grid is embarrassingly parallel: one analytic-stats node per
 (workload, case) computes that case's counters for every variant — they
 are device-independent — and the caller resolves them against each
-device's models (:func:`_grid_records`, the one records-from-stats step
-of both execution paths).  Records are reassembled in the canonical
-device-major order, so serial (``n_jobs=1``) and parallel runs return
-identical records in identical order.
+device's models (:func:`_grid_records`).  Records are reassembled in the
+canonical device-major order, so serial (``n_jobs=1``) and parallel runs
+return identical records in identical order.
 """
 
 from __future__ import annotations
@@ -23,11 +22,10 @@ import numpy as np
 
 from ..gpu.counters import KernelStats
 from ..gpu.device import Device
-from ..graph import GraphScheduler, TaskGraph, graph_enabled
-from ..kernels.base import (Quadrant, Variant, Workload, case_stats,
-                            install_stats, stats_node)
+from ..graph import GraphScheduler, TaskGraph
+from ..kernels.base import (Quadrant, Variant, Workload, install_stats,
+                            stats_node)
 from ..kernels import all_workloads
-from ..perf.executor import ParallelExecutor
 from ..perf.instrument import stage
 
 __all__ = ["PerfRecord", "build_performance_graph", "run_performance",
@@ -103,19 +101,15 @@ def build_performance_graph(workloads: list[Workload]) -> TaskGraph:
 
 def run_performance(workloads: list[Workload] | None = None,
                     devices: list[Device] | None = None,
-                    *, n_jobs: int | None = None,
-                    executor: ParallelExecutor | None = None,
-                    mode: str | None = None) -> list[PerfRecord]:
+                    *, n_jobs: int | None = None) -> list[PerfRecord]:
     """Evaluate every (gpu, workload, variant, case) combination.
 
-    The default path drains :func:`build_performance_graph` through the
-    :class:`~repro.graph.GraphScheduler`; ``mode="staged"``,
-    ``REPRO_GRAPH=0``, or an explicit ``executor`` maps the same
-    per-case computation through the legacy staged fan-out.  Stats that
-    pool workers computed are installed into this process's memo, so the
+    Drains :func:`build_performance_graph` through the
+    :class:`~repro.graph.GraphScheduler`.  Stats that pool workers
+    computed are installed into this process's memo, so the
     roofline/EDP/what-if readers that follow hit it exactly as after a
     serial run.  Records come back in device-major order (device,
-    workload, case, variant) regardless of mode or ``n_jobs``.
+    workload, case, variant) regardless of ``n_jobs``.
     """
     if workloads is None:
         workloads = all_workloads()
@@ -124,18 +118,10 @@ def run_performance(workloads: list[Workload] | None = None,
     graph = build_performance_graph(workloads)
     cases = [node.args for node in graph]
     with stage("harness.run_performance"):
-        if executor is None and graph_enabled(mode):
-            scheduler = GraphScheduler(n_jobs)
-            results = scheduler.run(graph)
-            stats = [results[node.key] for node in graph]
-            pooled = scheduler.last_stats.workers > 1
-        else:
-            ex = executor if executor is not None \
-                else ParallelExecutor(n_jobs)
-            stats = ex.starmap(case_stats, cases, chunk_size=1,
-                               labels=[node.display for node in graph])
-            pooled = min(ex.n_jobs, len(cases)) > 1
-        if pooled:
+        scheduler = GraphScheduler(n_jobs)
+        results = scheduler.run(graph)
+        stats = [results[node.key] for node in graph]
+        if scheduler.last_stats.workers > 1:
             for (w, index), per_variant in zip(cases, stats):
                 install_stats(w, index, per_variant)
         return _grid_records(cases, stats, devices)

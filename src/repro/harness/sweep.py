@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..gpu.device import Device
-from ..graph import GraphScheduler, TaskGraph, TaskNode, graph_enabled
+from ..graph import GraphScheduler, TaskGraph, TaskNode
 from ..kernels.base import Variant, Workload, WorkloadCase
 from ..kernels.fft import FftWorkload
 from ..kernels.gemm import GemmWorkload
@@ -22,7 +22,6 @@ from ..kernels.gemv import GemvWorkload
 from ..kernels.reduction import ReductionWorkload
 from ..kernels.scan import ScanWorkload
 from ..kernels.stencil import StencilWorkload
-from ..perf.executor import ParallelExecutor
 from ..perf.instrument import stage
 
 __all__ = ["SweepPoint", "SIZE_SWEEPS", "build_sweep_graph", "sweep_sizes",
@@ -116,35 +115,21 @@ def build_sweep_graph(name: str, device: Device,
 def sweep_sizes(name: str, device: Device,
                 variants: tuple[Variant, ...] = (Variant.BASELINE,
                                                  Variant.TC),
-                *, n_jobs: int | None = None,
-                executor: ParallelExecutor | None = None,
-                mode: str | None = None) -> list[SweepPoint]:
+                *, n_jobs: int | None = None) -> list[SweepPoint]:
     """Evaluate a workload's analytic model across its size grid.
 
-    The default path drains :func:`build_sweep_graph` through the
-    :class:`~repro.graph.GraphScheduler`; ``mode="staged"``,
-    ``REPRO_GRAPH=0``, or an explicit ``executor`` selects the legacy
-    staged fan-out (``resumable_sweep`` always does: its journal
-    semantics are per-chunk).  Points come back in (size, variant)
-    order regardless of mode or ``n_jobs``.
+    Drains :func:`build_sweep_graph` through the
+    :class:`~repro.graph.GraphScheduler`.  Points come back in (size,
+    variant) order regardless of ``n_jobs``.
     """
     if name not in SIZE_SWEEPS:
         raise ValueError(
             f"no size sweep for {name!r}; available: "
             f"{sorted(SIZE_SWEEPS)}")
-    sizes = SIZE_SWEEPS[name][2]
-    if executor is None and graph_enabled(mode):
-        graph = build_sweep_graph(name, device, variants)
-        with stage("harness.sweep_sizes"):
-            results = GraphScheduler(n_jobs).run(graph)
-        per_size = [results[f"sweep:{name}:{s:010d}"] for s in sizes]
-        return [p for chunk in per_size for p in chunk]
-    ex = executor if executor is not None else ParallelExecutor(n_jobs)
+    graph = build_sweep_graph(name, device, variants)
     with stage("harness.sweep_sizes"):
-        per_size = ex.map(_sweep_size,
-                          [(name, s, device, variants) for s in sizes],
-                          chunk_size=1)
-    return [p for chunk in per_size for p in chunk]
+        results = GraphScheduler(n_jobs).run(graph)
+    return [p for node in graph for p in results[node.key]]
 
 
 def find_crossover(points: list[SweepPoint],

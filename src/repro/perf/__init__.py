@@ -6,9 +6,9 @@ The characterization pipeline is an embarrassingly parallel grid
 two orthogonal mechanisms cover almost all of its cost:
 
 * :class:`ParallelExecutor` — deterministic, order-preserving fan-out of
-  independent evaluation tasks over a process pool (with an in-process
-  fallback for ``n_jobs=1`` that produces identical results in identical
-  order);
+  independent evaluation tasks, run as chunk nodes on the graph
+  scheduler's process pool (in-process for ``n_jobs=1``, with identical
+  results in identical order);
 * :class:`ResultCache` — a two-tier (in-memory LRU + on-disk) store keyed
   by a stable content hash of (qualname, params, library version, source
   code), exploiting the fixed-seed LCG determinism guarantee (DESIGN.md

@@ -1,57 +1,33 @@
-"""Deterministic parallel fan-out over a process pool, with recovery.
+"""Deterministic, order-preserving fan-out: ``ParallelExecutor.map``.
 
-:class:`ParallelExecutor` is the one execution primitive the evaluation
-grid routes through: ``map`` preserves input order exactly, chunks work
-deterministically (boundaries depend only on item count and chunk size),
-and falls back to a plain in-process loop for ``n_jobs=1`` — so the serial
-and parallel paths produce identical results in identical order, which the
-test suite asserts.
+``map`` cuts its items into contiguous chunks (boundaries depend only on
+the item count and chunk size) and runs each chunk as one node of an
+edge-free task graph on :class:`~repro.graph.scheduler.GraphScheduler`,
+the one process-pool engine, which brings its recovery rule with it
+(docs/ROBUSTNESS.md).  Results come back in input order, and
+``n_jobs=1`` takes the scheduler's in-process serial path, so serial and
+parallel maps return identical results in identical order.
 
-Recovery (docs/ROBUSTNESS.md): a crashed pool (``BrokenProcessPool``) or a
-chunk that exceeds the per-chunk timeout no longer aborts the map.
-Completed chunk results are harvested and kept; the pool is rebuilt and
-only the unfinished chunks are retried, with capped exponential backoff
-between rounds; after ``max_retries`` failed rounds the remaining chunks
-degrade to the in-process serial path.  Every retry replays the *same*
-deterministic chunk, so the assembled output is bit-identical to a
-fault-free run regardless of how many workers died along the way.
-Task-level exceptions (:class:`WorkerTaskError`) are deterministic and
-propagate immediately — retrying them would fail identically.
+Worker functions must be module-level (picklable).  ``stage_names``
+runs each item under a :func:`repro.perf.instrument.stage`, nested
+under the chunk node's ``graph/map-chunk`` stage; pool-worker timings
+are merged back under the stage active at the ``map`` call site.  A
+failing item raises :class:`WorkerTaskError` naming it.
 
-Worker functions must be module-level (picklable); items are sent to
-workers in contiguous chunks to amortize process overhead.  ``n_jobs``
-defaults to ``REPRO_JOBS`` or the machine's CPU count; the per-chunk
-timeout to ``REPRO_CHUNK_TIMEOUT_S`` (unset = wait forever) and the retry
-cap to ``REPRO_EXECUTOR_RETRIES``.
-
-Stage attribution survives the fan-out: pass ``stage_names`` (one stage
-name per item) and each item runs under :func:`repro.perf.instrument.stage`.
-Pool workers snapshot their stage registry per chunk and ship it back with
-the results; the parent merges the records under whatever stage is active
-at the ``map`` call site, so ``analysis.verify_all`` decomposes into
-per-item children whether the work ran in-process or across processes.
-
-Chaos hooks: the ``executor.worker_crash`` and ``executor.worker_hang``
-fault sites fire at pool-chunk start, keyed by (chunk bounds, attempt) so
-an injected crash does not re-fire on the retry.  They are injected only
-on the pool path — the serial path (and the degrade-to-serial fallback)
-never self-destructs.
+:func:`_run_chunk_remote` is the pool-worker entry of every graph node.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import time
 import traceback
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from .. import faults
-from .instrument import (merge_stage_timings, note_worker_count,
-                         reset_stage_stack, reset_stage_timings,
+from .instrument import (reset_stage_stack, reset_stage_timings,
                          snapshot_stage_timings, stage)
 
 __all__ = ["ParallelExecutor", "WorkerTaskError", "resolve_n_jobs"]
@@ -78,11 +54,19 @@ class WorkerTaskError(RuntimeError):
 
 
 def resolve_n_jobs(n_jobs: int | None = None) -> int:
-    """Resolve a worker count: explicit > ``REPRO_JOBS`` > CPU count."""
+    """Resolve a worker count: explicit > 1 inside a pool worker >
+    ``REPRO_JOBS`` > CPU count.
+
+    A pool worker is already one of its pool's processes, so a fan-out
+    it starts without an explicit count runs in-process instead of
+    opening a second pool.
+    """
     if n_jobs is not None:
         if n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
         return n_jobs
+    if multiprocessing.parent_process() is not None:
+        return 1
     env = os.environ.get("REPRO_JOBS")
     if env:
         try:
@@ -131,6 +115,8 @@ def _run_chunk(payload: tuple[Callable[[T], R], list[T], list[str] | None,
                     out.append(fn(item))
             else:
                 out.append(fn(item))
+        except WorkerTaskError:
+            raise  # a map chunk run as a graph node names its own item
         except Exception as exc:
             label = labels[i] if labels else f"item {i}"
             raise WorkerTaskError(
@@ -165,14 +151,26 @@ def _run_chunk_remote(payload: tuple[Callable[[T], R], list[T],
     return out, snapshot_stage_timings()
 
 
-class ParallelExecutor:
-    """Order-preserving map over a process pool (or in-process for 1 job).
+def _per_item(values: Sequence[str] | Callable[[T], str] | None,
+              items: list[T], what: str) -> list[str] | None:
+    """One string per item: a callable is applied in the parent."""
+    if values is None:
+        return None
+    out = [values(item) for item in items] if callable(values) \
+        else list(values)
+    if len(out) != len(items):
+        raise ValueError(f"{len(out)} {what} for {len(items)} items")
+    return out
 
-    ``chunk_timeout_s`` bounds how long the parent waits on one chunk's
-    result once every earlier chunk has been collected (None = forever);
-    ``max_retries`` caps the failed pool rounds before the remaining
-    chunks degrade to the serial path; backoff between rounds grows
-    ``backoff_base_s * 2**round`` up to ``backoff_cap_s``.
+
+class ParallelExecutor:
+    """Order-preserving map; each chunk is one task-graph node.
+
+    ``chunk_timeout_s``, ``max_retries`` and the backoff settings pass
+    to the :class:`~repro.graph.scheduler.GraphScheduler` that runs each
+    map (None defers to its defaults); ``last_stats`` is that
+    scheduler's :class:`~repro.graph.scheduler.GraphStats` for the last
+    map.
     """
 
     def __init__(self, n_jobs: int | None = None, *,
@@ -183,16 +181,11 @@ class ParallelExecutor:
                  backoff_cap_s: float = 2.0) -> None:
         self.n_jobs = resolve_n_jobs(n_jobs)
         self.chunk_size = chunk_size
-        self.chunk_timeout_s = chunk_timeout_s if chunk_timeout_s is not None \
-            else _env_float("REPRO_CHUNK_TIMEOUT_S")
-        self.max_retries = max_retries if max_retries is not None \
-            else _env_int("REPRO_EXECUTOR_RETRIES", 3)
+        self.chunk_timeout_s = chunk_timeout_s
+        self.max_retries = max_retries
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
-        #: pool rounds that failed during the last map (observability)
-        self.last_failed_rounds = 0
-        #: chunks the last map degraded to the serial path (observability)
-        self.last_degraded_chunks = 0
+        self.last_stats = None  # the last map's GraphStats
 
     # ------------------------------------------------------------------
     def map(self, fn: Callable[[T], R], items: Iterable[T], *,
@@ -203,177 +196,43 @@ class ParallelExecutor:
         """``[fn(x) for x in items]``, fanned out across processes.
 
         Results are returned in input order regardless of completion
-        order.  A worker exception propagates as :class:`WorkerTaskError`
-        naming the failing item (``labels`` — a string per item or a
-        callable applied in the parent — gives the name; the index is
-        used otherwise).  A broken pool or a hung chunk is survived:
-        completed chunk results are kept, the pool is rebuilt, and only
-        unfinished chunks are retried (capped exponential backoff),
-        degrading to the in-process serial path after repeated failures —
-        so the output matches the fault-free run exactly.
-        ``KeyboardInterrupt`` cancels pending chunks and retries and
-        re-raises cleanly instead of dumping a pool traceback.
+        order or pool failures.  A worker exception propagates as
+        :class:`WorkerTaskError` naming the failing item (``labels`` — a
+        string per item or a callable applied in the parent — gives the
+        name; the index within its chunk is used otherwise).
 
         ``stage_names`` (a name per item, or a callable) runs each item
-        under that instrumentation stage; pool-worker timings are merged
-        back under the stage active at this call site.
+        under that instrumentation stage.
         """
+        # the graph package imports this module
+        from ..graph import GraphScheduler, TaskGraph, TaskNode
+
         items = list(items)
-        if callable(labels):
-            labels = [labels(item) for item in items]
-        elif labels is not None:
-            labels = list(labels)
-            if len(labels) != len(items):
-                raise ValueError(
-                    f"{len(labels)} labels for {len(items)} items")
-        if callable(stage_names):
-            stage_names = [stage_names(item) for item in items]
-        elif stage_names is not None:
-            stage_names = list(stage_names)
-            if len(stage_names) != len(items):
-                raise ValueError(
-                    f"{len(stage_names)} stage names for {len(items)} items")
-        workers = min(self.n_jobs, len(items))
-        note_worker_count(max(workers, 1))
-        if workers <= 1:
-            return _run_chunk((fn, items, labels, stage_names))
+        labels = _per_item(labels, items, "labels")
+        stage_names = _per_item(stage_names, items, "stage names")
         size = chunk_size or self.chunk_size
         if size is None:
             # a few chunks per worker bounds imbalance without flooding
             # the pool with tiny tasks
+            workers = max(min(self.n_jobs, len(items)), 1)
             size = max(1, math.ceil(len(items) / (4 * workers)))
-        bounds = _chunk_bounds(len(items), size)
-        results = self._run_pool_rounds(fn, items, labels, stage_names,
-                                        bounds, workers)
-        out: list[R] = []
-        for idx in range(len(bounds)):
-            chunk, timings = results[idx]
-            out.extend(chunk)
-            merge_stage_timings(timings)
-        return out
-
-    # ------------------------------------------------------- pool rounds
-    def _payload(self, fn, items, labels, stage_names,
-                 bounds: tuple[int, int], attempt: int):
-        lo, hi = bounds
-        hang_s = 2.0 * self.chunk_timeout_s if self.chunk_timeout_s else 2.0
-        return (fn, items[lo:hi],
-                labels[lo:hi] if labels else None,
-                stage_names[lo:hi] if stage_names else None,
-                f"{lo}-{hi}:{attempt}", hang_s)
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear a pool down without waiting on hung or dead workers."""
-        pool.shutdown(wait=False, cancel_futures=True)
-        procs = list((getattr(pool, "_processes", None) or {}).values())
-        for proc in procs:
-            try:
-                proc.terminate()
-            except (OSError, ValueError):  # pragma: no cover - already gone
-                pass
-        for proc in procs:
-            try:
-                proc.join(timeout=5)
-            except (OSError, ValueError):  # pragma: no cover - already gone
-                pass
-
-    def _run_pool_rounds(self, fn, items, labels, stage_names,
-                         bounds: list[tuple[int, int]], workers: int
-                         ) -> dict[int, tuple[list, list[dict]]]:
-        """Run every chunk to completion across pool rounds.
-
-        One *round* submits all pending chunks to a (fresh) pool and
-        collects results in chunk order.  A pool-level failure — broken
-        pool, hung chunk — ends the round: done futures are harvested,
-        the pool is killed and rebuilt, and the survivors are retried
-        with backoff.  Returns ``{chunk_index: (results, timings)}``.
-        """
-        results: dict[int, tuple[list, list[dict]]] = {}
-        pending = set(range(len(bounds)))
-        attempts = {idx: 0 for idx in pending}
-        failed_rounds = 0
-        self.last_failed_rounds = 0
-        self.last_degraded_chunks = 0
-        pool: ProcessPoolExecutor | None = None
+        graph = TaskGraph()
+        for lo, hi in _chunk_bounds(len(items), size):
+            graph.add(TaskNode(
+                key=f"chunk:{lo:010d}", kind="map-chunk", fn=_run_chunk,
+                args=((fn, items[lo:hi],
+                       labels[lo:hi] if labels else None,
+                       stage_names[lo:hi] if stage_names else None),)))
+        scheduler = GraphScheduler(
+            self.n_jobs, chunk_timeout_s=self.chunk_timeout_s,
+            max_retries=self.max_retries,
+            backoff_base_s=self.backoff_base_s,
+            backoff_cap_s=self.backoff_cap_s)
         try:
-            while pending and failed_rounds <= self.max_retries:
-                if pool is None:
-                    pool = ProcessPoolExecutor(
-                        max_workers=min(workers, len(pending)))
-                order = sorted(pending)
-                futures: dict[int, Future] = {
-                    idx: pool.submit(
-                        _run_chunk_remote,
-                        self._payload(fn, items, labels, stage_names,
-                                      bounds[idx], attempts[idx]))
-                    for idx in order}
-                round_failure: str | None = None
-                for idx in order:
-                    try:
-                        results[idx] = futures[idx].result(
-                            timeout=self.chunk_timeout_s)
-                        pending.discard(idx)
-                    except FuturesTimeoutError:
-                        round_failure = (
-                            f"chunk {idx} produced no result within "
-                            f"{self.chunk_timeout_s}s")
-                        break
-                    except (BrokenProcessPool, OSError) as exc:
-                        round_failure = f"pool failure: {exc}"
-                        break
-                if round_failure is None:
-                    break
-                # harvest chunks that completed before the failure; a
-                # deterministic task error propagates immediately
-                task_error: WorkerTaskError | None = None
-                for idx, fut in futures.items():
-                    if idx not in pending or not fut.done() \
-                            or fut.cancelled():
-                        continue
-                    exc = fut.exception()
-                    if exc is None:
-                        results[idx] = fut.result()
-                        pending.discard(idx)
-                    elif isinstance(exc, WorkerTaskError):
-                        task_error = exc
-                if task_error is not None:
-                    raise task_error
-                self._kill_pool(pool)
-                pool = None
-                failed_rounds += 1
-                self.last_failed_rounds = failed_rounds
-                for idx in pending:
-                    attempts[idx] += 1
-                if pending and failed_rounds <= self.max_retries:
-                    time.sleep(min(
-                        self.backoff_base_s * (2 ** (failed_rounds - 1)),
-                        self.backoff_cap_s))
-        except KeyboardInterrupt:
-            if pool is not None:
-                self._kill_pool(pool)
-            raise KeyboardInterrupt(
-                "interrupted; cancelled pending worker chunks and "
-                "retries") from None
-        except BaseException:
-            # a task failure: don't hang on the remaining chunks
-            if pool is not None:
-                self._kill_pool(pool)
-            raise
-        if pool is not None:
-            pool.shutdown(wait=True)
-        if pending:
-            # repeated pool failures: finish in-process — completed chunk
-            # results are reused, never recomputed
-            self.last_degraded_chunks = len(pending)
-            for idx in sorted(pending):
-                lo, hi = bounds[idx]
-                chunk_out = _run_chunk(
-                    (fn, items[lo:hi],
-                     labels[lo:hi] if labels else None,
-                     stage_names[lo:hi] if stage_names else None))
-                results[idx] = (chunk_out, [])
-        return results
+            results = scheduler.run(graph)
+        finally:
+            self.last_stats = scheduler.last_stats
+        return [value for node in graph for value in results[node.key]]
 
     # ------------------------------------------------------------------
     def starmap(self, fn: Callable[..., R],

@@ -14,9 +14,10 @@ reports and the CI gate bounds.
 
 The harness report layer formats the registry into the run report,
 ``repro ... --timings`` prints it, and the ``REPRO_STAGE_JSON`` hook dumps
-it for the cross-process bench profiler.  Worker processes return their
-registries to the parent through :class:`~repro.perf.executor.ParallelExecutor`,
-which merges them under the stage active at the call site via
+it for the cross-process bench profiler.  Pool workers return their
+registries with each node's result
+(:func:`~repro.perf.executor._run_chunk_remote`), and the graph scheduler
+merges them under the stage active at the call site via
 :func:`merge_stage_timings` — so fan-out never loses attribution.
 """
 

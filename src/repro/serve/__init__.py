@@ -6,11 +6,11 @@ protocol over typed query kinds (``perf``, ``quadrant``, ``accuracy``,
 ``edp``, ``roofline``, ``whatif``, ``observations``, plus service-level
 ``metrics``/``ping``), an asyncio pipeline that coalesces identical
 in-flight queries by content key, batches compatible perf queries into
-one :class:`~repro.perf.executor.ParallelExecutor` submission, and runs
-model work on a bounded process pool; admission control (queue-depth
-cap, token-bucket rate limiting, per-kind circuit breakers degrading to
-last-good answers marked stale); and per-request trace spans with
-rolling latency histograms exported as a ``metrics`` snapshot.
+one task-graph run, and runs model work on a bounded process pool;
+admission control (queue-depth cap, token-bucket rate limiting,
+per-kind circuit breakers degrading to last-good answers marked stale);
+and per-request trace spans with rolling latency histograms exported as
+a ``metrics`` snapshot.
 
 Entry points: ``repro serve`` (TCP server), ``repro query`` (one-shot
 client, ``--local`` for in-process), ``repro loadgen`` (closed-loop load

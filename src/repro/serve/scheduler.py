@@ -24,8 +24,9 @@ minimal under concurrent load:
   :class:`ModelPool`: a ``ProcessPoolExecutor`` of ``workers`` processes
   by default, degrading automatically (and permanently: the
   ``pool_mode`` gauge flips and ``pool_degrades_total`` counts it) to a
-  thread pool where subprocesses are unavailable, e.g. sandboxes.  The
-  event loop itself never executes model code.
+  thread pool when the process pool itself fails, e.g. in sandboxes; a
+  resolver's own exception is its answer.  The event loop itself never
+  executes model code.
 """
 
 from __future__ import annotations
@@ -53,13 +54,23 @@ def query_key(kind: str, params: Mapping[str, Any]) -> str:
     return content_key("serve.query", kind, dict(params))
 
 
+def _guarded(call: Callable[[], Any]) -> tuple[bool, Any]:
+    """Pool-side shim: ``(True, value)``, or ``(False, exc)`` for the
+    call's own exception, so only the pool's failures raise."""
+    try:
+        return True, call()
+    except Exception as exc:
+        return False, exc
+
+
 class ModelPool:
     """Bounded executor for model work, off the event loop.
 
     ``mode="process"`` gives true parallelism and crash isolation;
     ``mode="thread"`` is the in-process fallback (numpy releases the GIL
-    for the heavy kernels).  A broken or unavailable process pool flips
-    the mode to ``thread`` transparently and retries the submission.
+    for the heavy kernels).  A broken or unavailable process pool, or a
+    call it cannot pickle, flips the mode to ``thread`` transparently and
+    retries the submission; the call's own exception is re-raised.
     The ``pool_mode``/``pool_workers`` gauges and the
     ``pool_degrades_total`` counter in ``telemetry`` track the live pool.
     """
@@ -101,16 +112,20 @@ class ModelPool:
         loop = asyncio.get_running_loop()
         call = functools.partial(fn, *args)
         try:
-            return await loop.run_in_executor(self._ensure(), call)
+            ok, value = await loop.run_in_executor(self._ensure(),
+                                                   _guarded, call)
         except (BrokenProcessPool, OSError, pickle.PicklingError,
-                TypeError) as exc:
+                TypeError):
+            # the call's own errors come back as values, so this is the
+            # pool failing: broken, no workers, or an unpicklable call
             if self.mode != "process":
                 raise
-            if isinstance(exc, TypeError) and "pickle" not in str(exc):
-                raise  # the resolver's own error, not the pool's
-            # sandboxed / unpicklable: fall back to threads for good
             self._degrade()
-            return await loop.run_in_executor(self._ensure(), call)
+            ok, value = await loop.run_in_executor(self._ensure(),
+                                                   _guarded, call)
+        if not ok:
+            raise value
+        return value
 
     def shutdown(self) -> None:
         if self._executor is not None:

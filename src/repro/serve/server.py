@@ -71,7 +71,7 @@ class ServeConfig:
     #: model pool size and kind ("process" | "thread")
     workers: int = 2
     pool_mode: str = "process"
-    #: ParallelExecutor jobs inside one (possibly batched) perf grid
+    #: graph-scheduler jobs inside one (possibly batched) perf grid
     inner_jobs: int = 1
     max_queue_depth: int = 64
     #: global queries/second (None disables rate limiting)

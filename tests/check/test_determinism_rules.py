@@ -318,7 +318,9 @@ class TestWholeRepo:
         cache_mods = {e["module"] for e in facts["cache_values"]}
         assert "analysis/observations.py" in cache_mods
         pool_targets = {e["target"] for e in facts["pool_dispatch"]}
-        assert "kernels/base.py::case_stats" in pool_targets
+        assert "analysis/accuracy.py::_audit_one" in pool_targets
+        node_targets = {e["target"] for e in facts["graph_nodes"]}
+        assert "kernels/base.py::case_stats" in node_targets
         serve_fns = {e["function"] for e in facts["serve_payloads"]}
         assert "serve/queries.py::_resolve_perf" in serve_fns
         key_fns = {(e["module"], e["function"])

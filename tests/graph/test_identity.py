@@ -1,10 +1,10 @@
-"""Graph execution is bit-identical to the staged loops it replaced.
+"""The shape of the observation audit's task graph.
 
-Each rewired pipeline (``verify_all``, ``run_performance``,
-``sweep_sizes``) is run both ways — graph default vs ``mode="staged"``
-legacy — and the results compared field-for-field.  Every node callable
-is a deterministic function of its arguments (the determinism facts
-prove it), so equality here is exact, not approximate.
+Which nodes ``build_observations_graph`` emits and how they are wired:
+stats nodes feed the analytic observations, and for the default suite a
+dataset -> accuracy spine feeds O7.  Serial-vs-parallel equality of the
+pipelines lives in ``tests/perf/test_parallel_paths.py``, and the
+recorded digests pin their values.
 """
 
 from repro.analysis.accuracy import accuracy_table
@@ -12,11 +12,8 @@ from repro.analysis.observations import (
     OBSERVATIONS,
     _node_accuracy,
     build_observations_graph,
-    verify_all,
 )
 from repro.gpu import Device
-from repro.harness.runner import run_performance
-from repro.harness.sweep import sweep_sizes
 from repro.kernels import (
     GemmWorkload,
     GemvWorkload,
@@ -30,21 +27,6 @@ from repro.kernels import (
 FAST_WL = [GemmWorkload(), ScanWorkload(), ReductionWorkload(),
            GemvWorkload(), SpmvWorkload(scale=0.08)]
 DEVICES = [Device("A100"), Device("H200"), Device("B200")]
-
-
-class TestObservationsIdentity:
-    def test_graph_matches_staged_on_subset(self):
-        staged = verify_all(FAST_WL, DEVICES, mode="staged")
-        graphed = verify_all(FAST_WL, DEVICES, n_jobs=2, mode="graph")
-        assert len(staged) == len(graphed) == len(OBSERVATIONS)
-        for s, g in zip(staged, graphed):
-            assert s == g  # ObservationResult eq: verdict AND evidence
-
-    def test_env_kill_switch_selects_staged(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH", "0")
-        fallback = verify_all(FAST_WL, DEVICES)
-        monkeypatch.delenv("REPRO_GRAPH")
-        assert fallback == verify_all(FAST_WL, DEVICES, mode="staged")
 
 
 def _stats_keys(workloads, every_case):
@@ -110,26 +92,8 @@ class TestObservationsGraphShape:
                                        "observation-audit"}
 
     def test_accuracy_node_matches_direct_call(self):
-        """The graph's accuracy node is the same computation the staged
-        audit runs — byte-for-byte the values the seed digests pin."""
+        """The graph's accuracy node is the direct audit call —
+        byte-for-byte the values the seed digests pin."""
         direct = accuracy_table(get_workload("gemv"), Device("H200"))
         assert _node_accuracy("gemv") == direct
 
-
-class TestHarnessIdentity:
-    def test_run_performance_graph_matches_staged(self):
-        wl = [GemmWorkload(), GemvWorkload()]
-        devs = [Device("A100"), Device("H200")]
-        staged = run_performance(wl, devs, mode="staged")
-        graphed = run_performance(wl, devs, n_jobs=2, mode="graph")
-        assert graphed == staged
-        # device-major order is part of the contract
-        assert [r.gpu for r in graphed][:1] == ["A100"]
-
-    def test_sweep_graph_matches_staged(self):
-        dev = Device("H200")
-        staged = sweep_sizes("gemm", dev, mode="staged")
-        graphed = sweep_sizes("gemm", dev, n_jobs=2, mode="graph")
-        assert graphed == staged
-        sizes = [p.size for p in graphed]
-        assert sizes == sorted(sizes)

@@ -1,0 +1,143 @@
+"""The engine's failure rule, through both entry points.
+
+``GraphScheduler.run`` and ``ParallelExecutor.map`` share one pool loop
+(docs/ROBUSTNESS.md): only a broken pool, an ``OSError``, or a round in
+which no node finished in time is retried.  A failed round kills the
+pool's workers, so a hung worker never outlives the run.  Any other
+exception, such as a payload that cannot pickle, kills the pool and
+propagates at once, with no retry and no degrade.
+"""
+
+import multiprocessing
+import os
+import pickle
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro import faults
+from repro.graph import GraphScheduler, TaskGraph, TaskNode
+from repro.perf.executor import ParallelExecutor
+
+#: runs four nodes that sleep 60 s, but only inside pool workers, then
+#: prints the values and the degraded-node count
+_HUNG_WORKERS = '''
+import multiprocessing
+import sys
+import time
+
+from repro.graph import GraphScheduler, TaskGraph, TaskNode
+from repro.perf.executor import ParallelExecutor
+
+
+def sleep_in_workers(x):
+    if multiprocessing.parent_process() is not None:
+        time.sleep(60)
+    return x * x
+
+
+if __name__ == "__main__":
+    if sys.argv[1] == "graph":
+        graph = TaskGraph()
+        for i in range(4):
+            graph.add(TaskNode(key=f"sq:{i}", kind="square",
+                               fn=sleep_in_workers, args=(i,)))
+        sched = GraphScheduler(2, chunk_timeout_s=0.3, max_retries=0)
+        out = sched.run(graph)
+        values = [out[f"sq:{i}"] for i in range(4)]
+        stats = sched.last_stats
+    else:
+        ex = ParallelExecutor(2, chunk_timeout_s=0.3, max_retries=0)
+        values = ex.map(sleep_in_workers, range(4), chunk_size=1)
+        stats = ex.last_stats
+    print(values, stats.degraded_nodes)
+'''
+
+
+@pytest.fixture(autouse=True)
+def _clean_plan(monkeypatch):
+    monkeypatch.delenv(faults.ENV_VAR, raising=False)
+    faults.reset_fault_state()
+    yield
+    faults.clear_plan()
+
+
+def _square(x):
+    return x * x
+
+
+def _identity(x):
+    return x
+
+
+def _new_children(before):
+    return [p for p in multiprocessing.active_children()
+            if p.pid not in before]
+
+
+class TestHungWorkersAreKilled:
+    @pytest.mark.parametrize("entry", ["graph", "map"])
+    def test_process_exits_promptly_after_a_hung_round(self, entry,
+                                                       tmp_path):
+        """The round times out, the serial degrade answers, and the
+        process exits: its hung workers were terminated, so interpreter
+        exit does not wait out their 60 s sleep."""
+        script = tmp_path / "hung_workers.py"
+        script.write_text(_HUNG_WORKERS)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, str(script), entry], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, start_new_session=True,
+            env={**os.environ, "PYTHONPATH": src})
+        try:
+            out, err = proc.communicate(timeout=15)
+        except subprocess.TimeoutExpired:
+            # the session holds the run's pool workers too
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("still running after 15 s: hung workers outlived "
+                        "the run")
+        assert proc.returncode == 0, err
+        assert out.split("\n")[0] == "[0, 1, 4, 9] 4"
+
+    def test_no_hung_map_worker_outlives_the_map(self):
+        faults.install_plan("executor.worker_hang=1.0,seed=1")
+        before = {p.pid for p in multiprocessing.active_children()}
+        ex = ParallelExecutor(2, chunk_timeout_s=0.3, max_retries=0,
+                              backoff_base_s=0.0)
+        assert ex.map(_square, range(4), chunk_size=1) == [0, 1, 4, 9]
+        assert ex.last_stats.degraded_nodes == 4
+        assert _new_children(before) == []
+
+
+class TestUnpicklablePayload:
+    """Not the pool's failure: raised at once, never retried or run
+    serially behind the caller's back."""
+
+    def test_graph_run_raises(self):
+        graph = TaskGraph()
+        for i in range(3):
+            graph.add(TaskNode(key=f"n:{i}", kind="unit", fn=_identity,
+                               args=(threading.Lock(),)))
+        sched = GraphScheduler(2, max_retries=3, backoff_base_s=0.05)
+        before = {p.pid for p in multiprocessing.active_children()}
+        with pytest.raises((TypeError, pickle.PicklingError)):
+            sched.run(graph)
+        assert sched.last_stats.failed_rounds == 0
+        assert sched.last_stats.degraded_nodes == 0
+        assert _new_children(before) == []
+
+    def test_map_raises(self):
+        ex = ParallelExecutor(2, max_retries=3, backoff_base_s=0.05)
+        before = {p.pid for p in multiprocessing.active_children()}
+        with pytest.raises((TypeError, pickle.PicklingError)):
+            ex.map(_identity, [threading.Lock() for _ in range(4)],
+                   chunk_size=1)
+        assert ex.last_stats.failed_rounds == 0
+        assert ex.last_stats.degraded_nodes == 0
+        assert _new_children(before) == []

@@ -21,7 +21,6 @@ from repro.graph import (
     GraphScheduler,
     TaskGraph,
     TaskNode,
-    graph_enabled,
 )
 from repro.graph.policy import function_fid, load_facts
 from repro.perf.executor import WorkerTaskError
@@ -316,14 +315,3 @@ class TestErrors:
         with pytest.raises(WorkerTaskError, match="bad node 3"):
             GraphScheduler(2, max_retries=1, backoff_base_s=0.01).run(g)
 
-
-class TestModeSwitch:
-    def test_graph_enabled_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_GRAPH", raising=False)
-        assert graph_enabled(None) is True
-        assert graph_enabled("graph") is True
-        assert graph_enabled("staged") is False
-        monkeypatch.setenv("REPRO_GRAPH", "0")
-        assert graph_enabled(None) is False
-        # an explicit mode outranks the environment
-        assert graph_enabled("graph") is True

@@ -291,7 +291,8 @@ class TestOverlapBudget:
                                 base) == []
 
     def test_run_without_graph_meta_passes(self, tmp_path):
-        # e.g. REPRO_GRAPH=0 staged runs record no overlap at all
+        # e.g. a run whose graphs were all empty (every verdict cached)
+        # records no overlap at all
         base = self._baseline(tmp_path)
         assert check_regression(self._result(), base) == []
 

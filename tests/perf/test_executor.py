@@ -18,6 +18,10 @@ def _addmul(a: int, b: int) -> int:
     return a + 10 * b
 
 
+def _jobs(n_jobs):
+    return resolve_n_jobs(n_jobs)
+
+
 class TestResolveNJobs:
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "7")
@@ -34,6 +38,15 @@ class TestResolveNJobs:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             ParallelExecutor(0)
+
+    def test_pool_worker_defaults_to_one(self, monkeypatch):
+        """A fan-out inside a pool worker runs in-process unless its
+        count is explicit: no worker opens a second pool."""
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        ex = ParallelExecutor(2)
+        assert ex.map(_jobs, [None, None], chunk_size=1) == [1, 1]
+        assert ex.last_stats.workers == 2
+        assert ex.map(_jobs, [3, 3], chunk_size=1) == [3, 3]
 
 
 class TestWorkerSizing:

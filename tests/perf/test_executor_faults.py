@@ -1,6 +1,7 @@
-"""Executor recovery: crashes, hangs, retries, and the serial degrade.
+"""Map recovery: crashes, hangs, retries, and the serial degrade.
 
-The contract under test (docs/ROBUSTNESS.md): a broken pool or hung
+``ParallelExecutor.map`` runs each chunk as a graph node, so it recovers
+under the scheduler's rule (docs/ROBUSTNESS.md): a broken pool or hung
 chunk never changes the output — completed chunks are reused, pending
 chunks are retried or finished serially, and the assembled result is
 bit-identical to a fault-free run.  Worker crashes are injected two
@@ -76,7 +77,7 @@ class TestSerialDegrade:
         items = list(range(12))
         out = ex.map(_crash_in_workers, items, chunk_size=3)
         assert out == [x * x for x in items]
-        assert ex.last_degraded_chunks == 4
+        assert ex.last_stats.degraded_nodes == 4
 
     def test_degrade_runs_only_pending_chunks(self, tmp_path):
         """Completed chunk results are reused, never recomputed."""
@@ -89,7 +90,7 @@ class TestSerialDegrade:
         # chunk 1 (items 4-7) completed before the round-1 crash; it must
         # appear exactly once — recomputation would double-log it
         assert logged == list(range(8))
-        assert ex.last_failed_rounds >= 1
+        assert ex.last_stats.failed_rounds >= 1
 
 
 class TestInjectedFaults:
@@ -107,8 +108,8 @@ class TestInjectedFaults:
         out = ex.map(_square, list(range(8)), chunk_size=2)
         assert out == [x * x for x in range(8)]
         # every pool attempt hung (rate 1.0) => the serial path finished
-        assert ex.last_degraded_chunks == 4
-        assert ex.last_failed_rounds == 2
+        assert ex.last_stats.degraded_nodes == 4
+        assert ex.last_stats.failed_rounds == 2
 
     def test_task_error_label_survives_chaos(self):
         """A deterministic task failure names its item even when pool

@@ -1,5 +1,5 @@
-"""Serial/parallel equivalence of every pipeline routed through the
-ParallelExecutor: identical records in identical order for any n_jobs."""
+"""Serial/parallel equivalence of every fanned-out pipeline: identical
+records in identical order for any n_jobs."""
 
 import numpy as np
 

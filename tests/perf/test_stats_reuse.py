@@ -81,10 +81,3 @@ class TestStatsComputedOnce:
         assert serial == TRIPLES
         assert _audit(2) == serial
 
-    def test_staged_grid_installs_worker_stats_too(self, cold_memo):
-        kernels_base._STATS_MEMO.clear()
-        run_performance(WORKLOADS, DEVICES, n_jobs=2, mode="staged")
-        reset_stage_timings()
-        for dev in DEVICES:
-            suite_roofline(WORKLOADS, dev)
-        assert _misses() == 0

@@ -64,6 +64,11 @@ def type_error_resolver(kind, params):
     raise TypeError("unsupported operand type(s) for +: 'int' and 'str'")
 
 
+def file_not_found_resolver(kind, params):
+    """Module-level, so a process pool can pickle it."""
+    raise FileNotFoundError(f"no dataset for {kind}")
+
+
 class UnpicklableResolver:
     """Holds a lock, so a process pool cannot send it to a worker."""
 
@@ -398,6 +403,30 @@ class TestFailures:
         assert resp.error["code"] == "model_error"
         assert "TypeError" in resp.error["message"]
         assert mode == "process"
+
+    def test_resolver_os_error_keeps_the_process_pool(self, thread_config):
+        """A resolver's own OSError is its answer as well: only a failure
+        of the pool itself degrades it."""
+        config = dataclasses.replace(thread_config, pool_mode="process",
+                                     workers=1)
+
+        async def scenario():
+            service = CharacterizationService(
+                config, resolver=file_not_found_resolver)
+            try:
+                resp = await service.handle(
+                    make_request("edp", {"workload": "gemv"}))
+                return resp, service.pool.mode, \
+                    service.telemetry.counter("pool_degrades_total")
+            finally:
+                await service.stop()
+
+        resp, mode, degrades = run(scenario())
+        assert not resp.ok
+        assert resp.error["code"] == "model_error"
+        assert "FileNotFoundError" in resp.error["message"]
+        assert mode == "process"
+        assert degrades == 0
 
     def test_degrade_shows_in_metrics(self, thread_config):
         """An unpicklable resolver degrades a process pool to threads;
