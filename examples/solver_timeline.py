@@ -67,9 +67,10 @@ def main(side: int = 48) -> None:
     # build a timeline of the first iterations on H200 and export a trace
     dev = Device("H200")
     tl = Timeline(dev)
-    from repro.kernels.spmv import SpmvWorkload
-    from repro.sparse import DaspMatrix
-    spmv_stats = SpmvWorkload()._stats(Variant.TC, a, DaspMatrix.from_csr(a))
+    from repro.kernels.spmv import SpmvWorkload, gather_segment_bytes
+    from repro.sparse import DaspLayout
+    spmv_stats = SpmvWorkload()._stats(Variant.TC, a, DaspLayout.from_csr(a),
+                                       gather_segment_bytes(a))
     spmv_res = dev.resolve(spmv_stats)
     dot = KernelStats()
     dot.add_fma(2.0 * a.n_rows)

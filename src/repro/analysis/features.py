@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse.csr import CsrMatrix
-from ..sparse.mbsr import MbsrMatrix
+from ..sparse.mbsr import BLOCK, block_pattern
 
 __all__ = [
     "MATRIX_FEATURE_NAMES",
@@ -62,7 +62,9 @@ def matrix_features(a: CsrMatrix) -> np.ndarray:
     else:
         bandwidth_ratio = 0.0
         diag_fraction = 0.0
-    block_fill = MbsrMatrix.from_csr(a).fill_ratio if a.nnz else 0.0
+    # scalar nonzeros per 4x4 block slot (``MbsrMatrix.fill_ratio``)
+    block_fill = (a.nnz / (BLOCK * BLOCK * len(block_pattern(a)[1]))
+                  if a.nnz else 0.0)
     return np.array([
         np.log10(max(n_rows, 1)),
         np.log10(nnz),

@@ -18,10 +18,10 @@ import numpy as np
 from ..gpu.device import Device
 from ..kernels.base import Variant
 from ..kernels.spgemm import SpgemmWorkload
-from ..kernels.spmv import SpmvWorkload
+from ..kernels.spmv import SpmvWorkload, gather_segment_bytes
 from ..sparse.csr import CsrMatrix
-from ..sparse.dasp import DaspMatrix
-from ..sparse.mbsr import MbsrMatrix
+from ..sparse.dasp import DaspLayout
+from ..sparse.mbsr import block_pattern
 
 __all__ = ["AmgLevel", "AmgHierarchy", "build_hierarchy", "v_cycle",
            "solve", "modeled_setup_cost", "modeled_vcycle_cost"]
@@ -168,7 +168,7 @@ def modeled_setup_cost(h: AmgHierarchy, device: Device,
     w = SpgemmWorkload()
     total = 0.0
     for lv in h.levels[:-1]:
-        stats = w._stats(variant, lv.a, MbsrMatrix.from_csr(lv.a))
+        stats = w._stats(variant, lv.a, block_pattern(lv.a))
         # two products (A P and P^T (A P)) of comparable size
         total += 2.0 * device.timing.time(stats)
     return total
@@ -182,7 +182,8 @@ def modeled_vcycle_cost(h: AmgHierarchy, device: Device,
     w = SpmvWorkload()
     total = 0.0
     for i, lv in enumerate(h.levels):
-        stats = w._stats(variant, lv.a, DaspMatrix.from_csr(lv.a))
+        stats = w._stats(variant, lv.a, DaspLayout.from_csr(lv.a),
+                         gather_segment_bytes(lv.a))
         t = device.timing.time(stats)
         if i == h.n_levels - 1:
             total += 30 * t

@@ -19,7 +19,7 @@ from ..kernels.base import Variant
 from ..kernels.reduction import ReductionWorkload
 from ..kernels.spmv import SpmvWorkload, gather_segment_bytes
 from ..sparse.csr import CsrMatrix
-from ..sparse.dasp import DaspMatrix
+from ..sparse.dasp import DaspLayout
 
 __all__ = ["CgResult", "conjugate_gradient", "modeled_iteration_cost"]
 
@@ -80,11 +80,12 @@ def modeled_iteration_cost(a: CsrMatrix, device: Device,
 
     One iteration = 1 SpMV + 2 dot products (reductions) + 3 AXPYs.
     SpMV is costed through the SpMV workload's stat builder on this very
-    matrix; the dots through the Reduction model; AXPYs as streaming
-    vector traffic.
+    matrix's DASP layout; the dots through the Reduction model; AXPYs as
+    streaming vector traffic.
     """
     spmv = SpmvWorkload()
-    spmv_stats = spmv._stats(variant, a, DaspMatrix.from_csr(a))
+    tile_seg = gather_segment_bytes(a)
+    spmv_stats = spmv._stats(variant, a, DaspLayout.from_csr(a), tile_seg)
     t_spmv = device.timing.time(spmv_stats)
 
     red = ReductionWorkload()
@@ -107,5 +108,5 @@ def modeled_iteration_cost(a: CsrMatrix, device: Device,
         "iteration_s": total,
         "power_w": power,
         "energy_j": power * total,
-        "gather_segment_bytes": gather_segment_bytes(a),
+        "gather_segment_bytes": tile_seg,
     }

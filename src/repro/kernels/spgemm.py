@@ -14,7 +14,10 @@ tree-ordered k accumulation.
 
 Functional execution computes C = A @ A on the Table 4 matrices at a
 reduced ``scale`` (full-scale block expansion exceeds a Python session's
-memory budget; the analytic path runs symbolically at any scale).
+memory budget; the analytic path runs symbolically at any scale).  The
+counters read only the block pattern
+(:func:`repro.sparse.mbsr.block_pattern`), never the block payloads, so
+the analytic path builds no :class:`MbsrMatrix`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from ..gpu.counters import KernelStats
 from ..gpu.device import Device, KernelResult
 from ..gpu.launch import LaunchPlan, execute_plan
 from ..sparse.csr import CsrMatrix, stable_order
-from ..sparse.mbsr import BLOCK, MbsrMatrix
+from ..sparse.mbsr import BLOCK, MbsrMatrix, block_pattern
 from .base import (
     CC_EFF,
     CC_EFF_MMA,
@@ -57,11 +60,12 @@ BASE_REUSE = 0.15
 
 
 @functools.lru_cache(maxsize=32)
-def _analytic_matrix(name: str, scale: float) -> tuple[CsrMatrix, MbsrMatrix]:
-    """Cache the (deterministic) analytic matrix and its mBSR conversion so
-    the four variants of a case do not regenerate them."""
+def _analytic_matrix(name: str, scale: float
+                     ) -> tuple[CsrMatrix, tuple[np.ndarray, np.ndarray]]:
+    """Cache the (deterministic) analytic matrix and its mBSR block
+    pattern so the four variants of a case do not regenerate them."""
     a = generate_matrix(name, scale=scale)
-    return a, MbsrMatrix.from_csr(a)
+    return a, block_pattern(a)
 
 
 class SpgemmWorkload(Workload):
@@ -146,7 +150,8 @@ class SpgemmWorkload(Workload):
                 out = self._block_spgemm(data["mbsr"], tree=tree)
                 if not audited:
                     data[cache_key] = out
-        stats = self._stats(variant, a, data["mbsr"])
+        m = data["mbsr"]
+        stats = self._stats(variant, a, (m.block_indptr, m.block_indices))
         return device.resolve(stats, output=out)
 
     @staticmethod
@@ -221,19 +226,22 @@ class SpgemmWorkload(Workload):
     # ------------------------------------------------------------------
     def analytic_stats(self, variant: Variant,
                        case: WorkloadCase) -> KernelStats:
-        a, m = _analytic_matrix(case["matrix"], self.scale)
-        return self._stats(variant, a, m)
+        return self._stats(variant,
+                           *_analytic_matrix(case["matrix"], self.scale))
 
     def _stats(self, variant: Variant, a: CsrMatrix,
-               m: MbsrMatrix) -> KernelStats:
+               pattern: tuple[np.ndarray, np.ndarray]) -> KernelStats:
+        """Counters of ``a`` with mBSR block pattern ``pattern``
+        (:func:`block_pattern`)."""
+        block_indptr, block_indices = pattern
         st = KernelStats()
         # scalar expansion size (essential multiply-adds)
         b_len = a.row_lengths()
         scalar_products = float(b_len[a.indices].sum())
         st.essential_flops = 2.0 * scalar_products
         # block expansion size
-        blk_len = np.diff(m.block_indptr)
-        block_products = float(blk_len[m.block_indices].sum())
+        blk_len = np.diff(block_indptr)
+        block_products = float(blk_len[block_indices].sum())
         c_bytes_est = 12.0 * min(scalar_products, float(a.n_rows) * 512)
         if variant is Variant.BASELINE:
             st.add_fma(2.0 * scalar_products)
@@ -258,7 +266,7 @@ class SpgemmWorkload(Workload):
             else:  # CC-E: the 4x4x4 block products without the MMA padding
                 st.add_fma(2.0 * block_products * BLOCK ** 3)
                 st.cc_efficiency = CC_EFF
-            st.read_dram(block_bytes * m.n_blocks, segment_bytes=128)
+            st.read_dram(block_bytes * len(block_indices), segment_bytes=128)
             st.read_dram(block_bytes * block_products * TC_REUSE,
                          segment_bytes=128)
         st.write_dram(c_bytes_est, segment_bytes=1 << 10)

@@ -5,6 +5,8 @@ into categories and packed into 8x4 value/index tiles
 (:class:`repro.sparse.dasp.DaspMatrix`); each tile multiplies a gathered
 4x8 x-block with ``mma_m8n8k4`` and the row results accumulate on the 8x8
 output diagonal across a group's k-steps — full input, 1/8-useful output.
+The counters read only the tile layout (``DaspLayout``: tiles, and 32
+value slots per tile), so the analytic path never fills the tiles.
 
 The baseline models cuSPARSE's CSR kernel: warp-per-row lane partials with a
 tree combine, per-lane scattered ``x`` gathers, and the memory-level
@@ -25,7 +27,7 @@ from ..gpu.counters import KernelStats
 from ..gpu.device import Device, KernelResult
 from ..gpu.launch import LaunchPlan, execute_plan
 from ..sparse.csr import CsrMatrix
-from ..sparse.dasp import DaspMatrix
+from ..sparse.dasp import DaspLayout, DaspMatrix
 from .base import (
     CC_EFF,
     CC_EFF_MMA,
@@ -48,11 +50,12 @@ MLP_CCE = 1.0
 
 
 @functools.lru_cache(maxsize=32)
-def _analytic_matrix(name: str, scale: float) -> tuple[CsrMatrix, DaspMatrix]:
-    """Cache the (deterministic) analytic matrix and its DASP conversion so
-    the four variants of a case do not regenerate them."""
+def _analytic_matrix(name: str, scale: float
+                     ) -> tuple[CsrMatrix, DaspLayout, float]:
+    """Cache the (deterministic) analytic matrix, its DASP layout and its
+    gather segment so the four variants of a case do not recompute them."""
     a = generate_matrix(name, scale=scale)
-    return a, DaspMatrix.from_csr(a)
+    return a, DaspLayout.from_csr(a), gather_segment_bytes(a)
 
 
 def gather_segment_bytes(a: CsrMatrix, sector: int = 32) -> float:
@@ -67,10 +70,12 @@ def gather_segment_bytes(a: CsrMatrix, sector: int = 32) -> float:
     if a.nnz < 2:
         return 8.0
     diffs = np.diff(a.indices)
-    # break runs at row boundaries
+    # break runs at row boundaries; an empty first or last row starts at
+    # entry 0 or nnz, which is no boundary between two entries
     row_starts = a.indptr[1:-1]
+    row_starts = row_starts[(row_starts > 0) & (row_starts < a.nnz)]
     same_sector = np.abs(diffs) * 8 < sector
-    same_sector[np.minimum(row_starts - 1, len(diffs) - 1)] = False
+    same_sector[row_starts - 1] = False
     frac = float(same_sector.mean())
     avg_run = 1.0 / max(1.0 - frac, 1.0 / (sector / 8))
     return float(np.clip(8.0 * avg_run, 8.0, sector))
@@ -118,7 +123,9 @@ class SpmvWorkload(Workload):
             y = self._dasp_spmv_mma(data["dasp"], x)
         else:
             y = self._dasp_spmv_essential(data["dasp"], x)
-        stats = self._stats(variant, a, data["dasp"])
+        if "tile_seg" not in data:     # once per prepared case
+            data["tile_seg"] = gather_segment_bytes(a)
+        stats = self._stats(variant, a, data["dasp"], data["tile_seg"])
         return device.resolve(stats, output=y)
 
     @staticmethod
@@ -161,16 +168,18 @@ class SpmvWorkload(Workload):
     # ------------------------------------------------------------------
     def analytic_stats(self, variant: Variant,
                        case: WorkloadCase) -> KernelStats:
-        a, d = _analytic_matrix(case["matrix"], self.scale)
-        return self._stats(variant, a, d)
+        return self._stats(variant,
+                           *_analytic_matrix(case["matrix"], self.scale))
 
-    def _stats(self, variant: Variant, a: CsrMatrix,
-               d: DaspMatrix) -> KernelStats:
+    def _stats(self, variant: Variant, a: CsrMatrix, d: DaspLayout,
+               tile_seg: float) -> KernelStats:
+        """Counters of ``a`` with DASP layout ``d`` (a filled
+        :class:`DaspMatrix` is one too) and x-gather segment ``tile_seg``
+        (:func:`gather_segment_bytes`)."""
         st = KernelStats()
         essential = 2.0 * a.nnz
         st.essential_flops = essential
         y_bytes = 8.0 * a.n_rows
-        tile_seg = gather_segment_bytes(a)
         if variant is Variant.BASELINE:
             # CSR arrays stream; x gathers are per-lane scattered doubles
             st.add_fma(essential)
@@ -183,7 +192,7 @@ class SpmvWorkload(Workload):
             # DASP tile gathers extract
             st.read_dram(8.0 * a.nnz, segment_bytes=max(8.0, tile_seg / 2))
         else:
-            slots = d.mask.size                      # padded value slots
+            slots = d.slots                          # padded value slots
             tiles = d.total_tiles
             if variant is Variant.TC:
                 st.add_mma_fp64(tiles, output_useful=8.0 * tiles)

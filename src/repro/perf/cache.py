@@ -102,11 +102,15 @@ def _seal(payload: bytes) -> bytes:
     return payload + _TRAILER_MAGIC + digest
 
 
-def _unseal(blob: bytes) -> bytes:
-    """Verify and strip the trailer; raises ``ValueError`` on any mismatch."""
+def _unseal(blob: bytes) -> memoryview:
+    """Verify and strip the trailer; raises ``ValueError`` on any mismatch.
+
+    The payload is a view into ``blob``, not a copy: hashing and
+    unpickling read it in place."""
     if len(blob) <= _TRAILER_LEN:
         raise ValueError("cache entry shorter than its integrity trailer")
-    payload, trailer = blob[:-_TRAILER_LEN], blob[-_TRAILER_LEN:]
+    payload = memoryview(blob)[:-_TRAILER_LEN]
+    trailer = blob[-_TRAILER_LEN:]
     if trailer[:len(_TRAILER_MAGIC)] != _TRAILER_MAGIC:
         raise ValueError("cache entry missing integrity trailer magic")
     digest = hashlib.sha256(payload).digest()[:_TRAILER_DIGEST_LEN]

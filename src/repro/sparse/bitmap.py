@@ -6,6 +6,11 @@ stores the 8x128-bit tiles ("blocks") that contain at least one edge,
 identified by their 128-column block index.  Tiles are kept bit-packed as
 ``(8, 2)`` uint64 words, ready for the single-bit ``mma_m8n8k128``
 AND+POPC instruction emulated in :mod:`repro.gpu.mma`.
+
+Construction is two steps.  The layout step (:func:`tile_pattern`) finds
+the distinct tile keys, which name every stored tile's column block and
+slice; tile counts and per-level sweep counts read only these.  The fill
+step (:meth:`BitmapGraph.from_edges`) ORs each edge's bit into its tile.
 """
 
 from __future__ import annotations
@@ -14,12 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csr import CsrMatrix, stable_order
+from .csr import CsrMatrix, sorted_distinct
 
-__all__ = ["BitmapGraph", "SLICE_ROWS", "TILE_COLS", "count_tiles"]
+__all__ = ["BitmapGraph", "SLICE_ROWS", "TILE_COLS", "tile_coords",
+           "tile_pattern"]
 
 SLICE_ROWS = 8
 TILE_COLS = 128
+
+
+def _key_stride(n: int) -> int:
+    """Tile keys step by this much per column block (slices + 1)."""
+    return (n + SLICE_ROWS - 1) // SLICE_ROWS + 1
 
 
 def _tile_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
@@ -27,17 +38,22 @@ def _tile_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
 
     Keys order tiles by (column block, slice), so the frontier sweep can
     binary-search all tiles touching an active column block."""
-    n_slices = (n + SLICE_ROWS - 1) // SLICE_ROWS
-    return (np.asarray(dst, dtype=np.int64) // TILE_COLS * (n_slices + 1)
-            + np.asarray(src, dtype=np.int64) // SLICE_ROWS)
+    keys = np.asarray(dst, dtype=np.int64) // TILE_COLS
+    keys *= _key_stride(n)
+    keys += np.asarray(src, dtype=np.int64) // SLICE_ROWS
+    return keys
 
 
-def count_tiles(src: np.ndarray, dst: np.ndarray, n: int) -> int:
-    """``BitmapGraph.from_edges(src, dst, n).n_tiles`` without building the
-    tiles: the number of distinct tile keys."""
-    keys = _tile_keys(src, dst, n)
-    keys.sort()
-    return int(len(keys) and 1 + np.count_nonzero(keys[1:] != keys[:-1]))
+def tile_pattern(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """The layout of ``BitmapGraph.from_edges(src, dst, n)``: the sorted
+    distinct tile keys, one per stored tile, in tile order."""
+    return sorted_distinct(_tile_keys(src, dst, n))
+
+
+def tile_coords(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(column block, slice)`` of each tile key of an ``n``-vertex
+    graph."""
+    return np.divmod(keys, _key_stride(n))
 
 
 @dataclass
@@ -70,15 +86,11 @@ class BitmapGraph:
         if len(src) and (min(src.min(), dst.min()) < 0
                          or max(src.max(), dst.max()) >= n):
             raise ValueError("vertex id out of range")
-        order, tk = stable_order(_tile_keys(src, dst, n))
-        new_tile = np.ones(len(tk), dtype=bool)
-        new_tile[1:] = tk[1:] != tk[:-1]
-        n_tiles = int(np.count_nonzero(new_tile))
-        first_edge = order[new_tile]
-        tile_slice = src[first_edge] // SLICE_ROWS
-        tile_cblock = dst[first_edge] // TILE_COLS
-        tile_of_edge = np.empty(len(tk), dtype=np.int64)
-        tile_of_edge[order] = np.cumsum(new_tile) - 1
+        keys = tile_pattern(src, dst, n)
+        n_tiles = len(keys)
+        tile_cblock, tile_slice = tile_coords(keys, n)
+        # each edge finds its tile by binary search of the sorted keys
+        tile_of_edge = np.searchsorted(keys, _tile_keys(src, dst, n))
         # OR each edge's bit straight into its row's two words: column c is
         # bit c % 64 of word c // 64, the little-endian layout of
         # packbits(bitorder="little") viewed as uint64 that frontier

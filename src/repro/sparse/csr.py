@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CsrMatrix", "stable_order"]
+__all__ = ["CsrMatrix", "sorted_distinct", "stable_order"]
 
 #: fused sort keys stay below 2**62, clear of the int64 sign bit
 _FUSED_KEY_BITS = 62
@@ -51,6 +51,20 @@ def stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.bitwise_and(fused, (1 << b) - 1, out=order)
     fused >>= b
     return order, fused
+
+
+def sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of integer ``keys``, ascending.
+
+    Runs of equal keys (neighbouring entries in one block or tile) are
+    dropped first, so the one unstable in-place sort sees fewer keys.
+    On the paper-scale matrices' mBSR block keys ``np.unique`` (NumPy
+    2.4) took about four times as long.  ``keys`` is left as it was."""
+    if len(keys) == 0:
+        return keys.copy()
+    keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+    keys.sort()
+    return keys[np.r_[True, keys[1:] != keys[:-1]]]
 
 
 def _row_cuts(row_prod: np.ndarray,

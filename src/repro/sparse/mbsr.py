@@ -5,6 +5,11 @@ AmgT (Lu et al., SC'24) partitions sparse matrices into dense 4x4 blocks
 ``mma_m8n8k4`` instruction.  An mBSR matrix is structurally a CSR matrix over
 *block* coordinates whose values are dense 4x4 tiles (zero padded at the
 fringe and inside partially-filled blocks).
+
+Construction is two steps.  The layout step (:func:`block_pattern`) finds
+the block pattern, the CSR over block coordinates; block counts and block
+products read only that.  The fill step (:meth:`MbsrMatrix.from_csr`)
+scatters the entries into the 4x4 payloads.
 """
 
 from __future__ import annotations
@@ -13,11 +18,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csr import CsrMatrix, stable_order
+from .csr import CsrMatrix, sorted_distinct
 
-__all__ = ["MbsrMatrix", "BLOCK"]
+__all__ = ["MbsrMatrix", "BLOCK", "block_pattern"]
 
 BLOCK = 4
+
+
+def _block_keys(a: CsrMatrix) -> tuple[np.ndarray, np.int64]:
+    """Each entry's block key ``block_row * key_cols + block_col``, in
+    entry order, and ``key_cols``."""
+    nbr = (a.n_rows + BLOCK - 1) // BLOCK
+    key_cols = np.int64(a.n_cols // BLOCK + 1)
+    row_bounds = a.indptr[np.minimum(
+        np.arange(nbr + 1, dtype=np.int64) * BLOCK, a.n_rows)]
+    keys = np.repeat(np.arange(nbr, dtype=np.int64) * key_cols,
+                     np.diff(row_bounds))
+    keys += a.indices // BLOCK
+    return keys, key_cols
+
+
+def block_pattern(a: CsrMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The mBSR layout of ``a``: ``(block_indptr, block_indices)``, the CSR
+    over block coordinates of every 4x4 block holding an entry.
+
+    Only the distinct block keys matter, so no stable sort is needed."""
+    nbr = (a.n_rows + BLOCK - 1) // BLOCK
+    indptr = np.zeros(nbr + 1, dtype=np.int64)
+    if a.nnz == 0:
+        return indptr, np.empty(0, dtype=np.int64)
+    keys, key_cols = _block_keys(a)
+    brow, bcol = np.divmod(sorted_distinct(keys), key_cols)
+    indptr[1:] = np.bincount(brow, minlength=nbr)
+    np.cumsum(indptr, out=indptr)
+    return indptr, bcol
 
 
 @dataclass
@@ -37,31 +71,24 @@ class MbsrMatrix:
     # ------------------------------------------------------------------
     @classmethod
     def from_csr(cls, a: CsrMatrix) -> "MbsrMatrix":
-        n_rows, n_cols = a.shape
-        nbr = (n_rows + BLOCK - 1) // BLOCK
-        if a.nnz == 0:
-            return cls(np.zeros(nbr + 1, dtype=np.int64),
-                       np.empty(0, dtype=np.int64),
-                       np.empty((0, BLOCK, BLOCK)), a.shape, 0)
-        entry_row = a.row_of_entry()
-        key_cols = np.int64(n_cols // BLOCK + 1)
-        order, key_s = stable_order(
-            entry_row // BLOCK * key_cols + a.indices // BLOCK)
-        uniq_mask = np.r_[True, key_s[1:] != key_s[:-1]]
-        block_of_entry = np.empty(a.nnz, dtype=np.int64)
-        block_of_entry[order] = np.cumsum(uniq_mask) - 1
-        n_blocks = int(np.count_nonzero(uniq_mask))
-        # one flat index into the block payloads performs the
-        # (block, row, col) scatter, in entry order
-        flat = (block_of_entry * BLOCK + entry_row % BLOCK) * BLOCK \
-            + a.indices % BLOCK
-        blocks = np.zeros((n_blocks, BLOCK, BLOCK))
-        blocks.reshape(-1)[flat] = a.data
-        u_brow, u_bcol = np.divmod(key_s[uniq_mask], key_cols)
-        indptr = np.zeros(nbr + 1, dtype=np.int64)
-        indptr[1:] = np.bincount(u_brow, minlength=nbr)
-        np.cumsum(indptr, out=indptr)
-        return cls(indptr, u_bcol, blocks, a.shape, a.nnz)
+        """The layout step (:func:`block_pattern`), then the fill step:
+        each entry finds its block by binary search of the sorted block
+        keys and lands in the payloads through one flat scatter."""
+        indptr, indices = block_pattern(a)
+        blocks = np.zeros((len(indices), BLOCK, BLOCK))
+        if a.nnz:
+            keys, key_cols = _block_keys(a)
+            pattern_keys = np.repeat(
+                np.arange(len(indptr) - 1, dtype=np.int64) * key_cols,
+                np.diff(indptr))
+            pattern_keys += indices
+            block_of_entry = np.searchsorted(pattern_keys, keys)
+            # one flat index into the block payloads performs the
+            # (block, row, col) scatter, in entry order
+            flat = (block_of_entry * BLOCK + a.row_of_entry() % BLOCK) \
+                * BLOCK + a.indices % BLOCK
+            blocks.reshape(-1)[flat] = a.data
+        return cls(indptr, indices, blocks, a.shape, a.nnz)
 
     # ------------------------------------------------------------------
     @property

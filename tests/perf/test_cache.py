@@ -23,8 +23,11 @@ from repro.datasets.suitesparse import (
 from repro.kernels.base import Variant
 from repro.kernels.scan import ScanWorkload
 from repro.perf.cache import (
+    _TRAILER_LEN,
     CACHE_SCHEMA,
     ResultCache,
+    _seal,
+    _unseal,
     content_key,
     package_source_token,
     source_token,
@@ -364,6 +367,21 @@ class TestIntegrityAndFaults:
         quarantined = list((tmp_path / "_quarantine").glob("*.quar"))
         assert len(quarantined) == 1
         assert quarantined[0].name == f"t__{key}.quar"
+
+    def test_unseal_returns_the_payload_and_rejects_corruption(self):
+        payload = bytes(range(256)) * 5
+        blob = _seal(payload)
+        assert bytes(_unseal(blob)) == payload
+        n = len(payload)
+        corrupt = [
+            blob[:7] + bytes([blob[7] ^ 0x80]) + blob[8:],     # payload bit
+            blob[:n] + b"XXXX" + blob[n + 4:],                 # trailer magic
+            blob[:-1] + bytes([blob[-1] ^ 0x01]),              # digest bit
+            blob[-_TRAILER_LEN:],                              # no payload
+        ]
+        for bad in corrupt:
+            with pytest.raises(ValueError):
+                _unseal(bad)
 
     def test_quarantine_is_outside_the_size_ledger(self, tmp_path):
         cache = ResultCache(tmp_path)

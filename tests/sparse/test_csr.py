@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import spgemm
-from repro.sparse.bitmap import SLICE_ROWS, TILE_COLS, BitmapGraph, count_tiles
+from repro.sparse.bitmap import SLICE_ROWS, TILE_COLS, BitmapGraph, tile_pattern
 from repro.sparse.csr import CsrMatrix, stable_order
 
 
@@ -294,7 +294,7 @@ class TestBitmapMatchesReference:
         np.testing.assert_array_equal(g.tiles, tiles)
         np.testing.assert_array_equal(g.tile_slice, tile_slice)
         np.testing.assert_array_equal(g.tile_cblock, tile_cblock)
-        assert count_tiles(src, dst, n) == g.n_tiles
+        assert len(tile_pattern(src, dst, n)) == g.n_tiles
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -306,7 +306,7 @@ class TestBitmapMatchesReference:
         g = BitmapGraph.from_edges(src, dst, n)
         np.testing.assert_array_equal(g.tiles,
                                       _from_edges_reference(src, dst, n)[0])
-        assert count_tiles(src, dst, n) == g.n_tiles
+        assert len(tile_pattern(src, dst, n)) == g.n_tiles
 
 
 class TestOtherScatterAdds:
