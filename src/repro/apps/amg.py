@@ -17,7 +17,7 @@ import numpy as np
 
 from ..gpu.device import Device
 from ..kernels.base import Variant
-from ..kernels.spgemm import SpgemmWorkload
+from ..kernels.spgemm import SpgemmWorkload, expansion_sizes
 from ..kernels.spmv import SpmvWorkload, gather_segment_bytes
 from ..sparse.csr import CsrMatrix
 from ..sparse.dasp import DaspLayout
@@ -168,7 +168,8 @@ def modeled_setup_cost(h: AmgHierarchy, device: Device,
     w = SpgemmWorkload()
     total = 0.0
     for lv in h.levels[:-1]:
-        stats = w._stats(variant, lv.a, block_pattern(lv.a))
+        stats = w._stats(variant, lv.a,
+                         expansion_sizes(lv.a, block_pattern(lv.a)))
         # two products (A P and P^T (A P)) of comparable size
         total += 2.0 * device.timing.time(stats)
     return total

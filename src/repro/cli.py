@@ -310,51 +310,64 @@ def _serve_config(args: argparse.Namespace):
         persist=args.persist, store_dir=args.store_dir)
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
+def _run_foreground(prog: str, server, details: str) -> None:
+    """Serve ``server`` (a :class:`~repro.serve.frontend.FrontEnd`) in
+    the foreground until Ctrl-C or SIGTERM; either stops it gracefully.
+
+    Prints the ``listening on host:port`` banner, flushed at once:
+    ``spawn_local_shards`` reads it from a pipe to learn a shard's port.
+    On exit prints the server's final counters.
+    """
     import asyncio
     import signal
 
-    from .serve import CharacterizationService
-
-    config = _serve_config(args)
-
     async def _main() -> None:
-        service = CharacterizationService(config)
         try:
-            host, port = await service.start_tcp()
+            host, port = await server.start_tcp()
         except ValueError as exc:
             # e.g. a non-loopback bind without a token: a config error,
             # not a crash — no traceback
-            raise SystemExit(f"repro serve: {exc}") from None
-        shard = f", shard {config.shard_id}" if config.shard_id else ""
-        auth = ", token auth" if config.token else ""
-        store = ", persistent store" if config.persist else ""
-        print(f"repro serve: listening on {host}:{port} "
-              f"({service.pool.mode} pool, {config.workers} workers"
-              f"{shard}{auth}{store}); "
-              f"Ctrl-C stops, SIGTERM drains")
-        loop = asyncio.get_running_loop()
-        forever = asyncio.ensure_future(service.serve_forever())
+            raise SystemExit(f"{prog}: {exc}") from None
+        print(f"{prog}: listening on {host}:{port} ({details}); "
+              f"Ctrl-C stops, SIGTERM drains", flush=True)
+        forever = asyncio.ensure_future(server.serve_forever())
 
         def _drain() -> None:
-            # stop accepting, let in-flight jobs finish (serve_forever's
-            # finally runs stop(), which drains the scheduler), then exit
-            print("repro serve: SIGTERM — draining in-flight queries",
+            # serve_forever's finally runs stop(): stop accepting, let
+            # in-flight queries finish, close connections
+            print(f"{prog}: SIGTERM — draining in-flight queries",
                   file=sys.stderr)
             forever.cancel()
 
         try:
-            loop.add_signal_handler(signal.SIGTERM, _drain)
+            asyncio.get_running_loop().add_signal_handler(signal.SIGTERM,
+                                                          _drain)
         except (NotImplementedError, RuntimeError):  # pragma: no cover
             pass  # platform without signal handlers (e.g. Windows loop)
         try:
             await forever
         finally:
-            counters = service.telemetry.snapshot().get("counters", {})
-            print("repro serve: drained; "
+            counters = server.telemetry.snapshot().get("counters", {})
+            print(f"{prog}: drained; "
                   + json.dumps(counters, sort_keys=True), file=sys.stderr)
 
-    asyncio.run(_main())
+    try:
+        asyncio.run(_main())
+    except KeyboardInterrupt:
+        pass
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    from .serve import CharacterizationService
+
+    config = _serve_config(args)
+    service = CharacterizationService(config)
+    shard = f", shard {config.shard_id}" if config.shard_id else ""
+    auth = ", token auth" if config.token else ""
+    store = ", persistent store" if config.persist else ""
+    _run_foreground("repro serve", service,
+                    f"{service.pool.mode} pool, {config.workers} workers"
+                    f"{shard}{auth}{store}")
     return 0
 
 
@@ -610,9 +623,6 @@ def cmd_fabric(args: argparse.Namespace) -> int:
         return 0
 
     # start: N shard processes + the router, foreground
-    import asyncio
-    import signal
-
     from .fabric.cluster import spawn_local_shards, terminate_shards
     from .fabric.router import FabricRouter, RouterConfig
 
@@ -627,41 +637,11 @@ def cmd_fabric(args: argparse.Namespace) -> int:
             host=args.host, port=args.port, token=token,
             auth_rate=args.auth_rate, auth_burst=args.auth_burst,
             probe_interval_s=args.probe_interval))
-
-        async def _main() -> None:
-            try:
-                host, port = await router.start_tcp()
-            except ValueError as exc:
-                raise SystemExit(f"repro fabric: {exc}") from None
-            names = ", ".join(s.shard_id for s in specs)
-            auth = "token auth" if token else "loopback only"
-            print(f"repro fabric: router on {host}:{port} over "
-                  f"{len(specs)} shard(s) [{names}] ({auth}); "
-                  f"Ctrl-C stops, SIGTERM drains")
-            loop = asyncio.get_running_loop()
-            forever = asyncio.ensure_future(router.serve_forever())
-
-            def _drain() -> None:
-                print("repro fabric: SIGTERM — stopping the router",
-                      file=sys.stderr)
-                forever.cancel()
-
-            try:
-                loop.add_signal_handler(signal.SIGTERM, _drain)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # platform without signal handlers
-            try:
-                await forever
-            finally:
-                counters = router.telemetry.snapshot().get("counters", {})
-                print("repro fabric: stopped; "
-                      + json.dumps(counters, sort_keys=True),
-                      file=sys.stderr)
-
-        try:
-            asyncio.run(_main())
-        except KeyboardInterrupt:
-            pass
+        names = ", ".join(s.shard_id for s in specs)
+        auth = "token auth" if token else "loopback only"
+        _run_foreground("repro fabric", router,
+                        f"router over {len(specs)} shard(s) [{names}], "
+                        f"{auth}")
     finally:
         terminate_shards(procs)
     return 0

@@ -24,7 +24,7 @@ lazily at runtime.  The router and cluster layers import serve
 serve <-> fabric import graph acyclic.
 """
 
-from .auth import Authenticator, auth_gate, handshake_ok_line
+from .auth import Authenticator
 from .ring import HashRing
 from .store import ServedResultStore
 
@@ -32,6 +32,4 @@ __all__ = [
     "Authenticator",
     "HashRing",
     "ServedResultStore",
-    "auth_gate",
-    "handshake_ok_line",
 ]

@@ -1,17 +1,19 @@
 """Shared-token authentication for the serve fabric.
 
 The handshake is one JSON line (see
-:func:`repro.serve.protocol.encode_handshake`) sent before any query;
-a token-protected listener refuses *every* other first line with
-``auth_required`` — before the line is even parsed as a query — and a
-wrong or ill-formed token with ``bad_token``.  Token comparison uses
+:func:`repro.serve.protocol.encode_handshake`) sent before any query.
+:class:`Authenticator` decides it: ``auth_required`` when the line is not
+a handshake frame at all, ``bad_token`` when it is one but fails
+validation or carries an unknown token.  Token comparison uses
 ``hmac.compare_digest`` so timing does not leak prefix matches.
 
 After a successful handshake every request on the connection passes a
 per-token :class:`~repro.serve.admission.TokenBucket`, so one credential
-cannot starve the others even behind the global rate gate.  Both the
-shard server and the router reuse :func:`auth_gate` for the connection
-state machine, keeping refusal semantics identical at every hop.
+cannot starve the others even behind the global rate gate.  The
+connection state machine around it — refusing every other first line
+before it is parsed, confirming handshakes at a tokenless listener — is
+:class:`repro.serve.frontend.FrontEnd`, which the shard service and the
+router share, so refusal semantics are identical at every hop.
 """
 
 from __future__ import annotations
@@ -21,15 +23,9 @@ import time
 from typing import Callable, Iterable
 
 from ..serve.admission import TokenBucket
-from ..serve.protocol import (
-    HANDSHAKE_VERSION,
-    ProtocolError,
-    Response,
-    decode_handshake,
-    encode_response,
-)
+from ..serve.protocol import ProtocolError, decode_handshake
 
-__all__ = ["Authenticator", "auth_gate", "handshake_ok_line"]
+__all__ = ["Authenticator"]
 
 
 class Authenticator:
@@ -78,29 +74,3 @@ class Authenticator:
                                  clock=self._clock)
             self._buckets[token] = bucket
         return bucket.try_acquire()
-
-
-def handshake_ok_line(shard_id: str | None) -> str:
-    """The reply line confirming a handshake (carries our identity)."""
-    return encode_response(Response(
-        id=None, ok=True,
-        result={"fabric": HANDSHAKE_VERSION, "shard_id": shard_id},
-        served_by="auth", shard_id=shard_id))
-
-
-def auth_gate(auth: Authenticator, text: str,
-              shard_id: str | None) -> tuple[str, str | None]:
-    """One un-authenticated first line through the gate.
-
-    Returns ``(reply_line, token)``; ``token`` is None on refusal, in
-    which case the caller closes the connection after writing the reply.
-    """
-    try:
-        token = auth.handshake(text)
-    except ProtocolError as exc:
-        reply = encode_response(Response(
-            id=None, ok=False,
-            error={"code": exc.code, "message": exc.message},
-            served_by="auth", shard_id=shard_id))
-        return reply, None
-    return handshake_ok_line(shard_id), token

@@ -57,18 +57,17 @@ class HostedFabric:
     def __init__(self, shards: int = 3, *, token: str | None = None,
                  persist: bool = False, store_dir: str | None = None,
                  probe_interval_s: float = 0.25,
-                 shard_workers: int = 2,
-                 router_config: RouterConfig | None = None) -> None:
+                 shard_workers: int = 2) -> None:
         if shards < 1:
             raise ValueError("a fabric needs at least one shard")
-        self.token = token
         self._configs = [
             ServeConfig(host="127.0.0.1", port=0, pool_mode="thread",
                         workers=shard_workers, shard_id=f"s{i}", token=token,
                         persist=persist, store_dir=store_dir)
             for i in range(shards)]
-        self._router_config = router_config
-        self._probe_interval_s = probe_interval_s
+        self._router_config = RouterConfig(
+            host="127.0.0.1", port=0, token=token,
+            probe_interval_s=probe_interval_s)
         self._host: ServerHost | None = None
         self._shards: dict[str, CharacterizationService] = {}
         self.router: FabricRouter | None = None
@@ -83,12 +82,7 @@ class HostedFabric:
                 host, port = self._host.serve(service)
                 self._shards[config.shard_id] = service
                 specs.append(ShardSpec(config.shard_id, host, port))
-            config = self._router_config
-            if config is None:
-                config = RouterConfig(
-                    host="127.0.0.1", port=0, token=self.token,
-                    probe_interval_s=self._probe_interval_s)
-            self.router = FabricRouter(specs, config)
+            self.router = FabricRouter(specs, self._router_config)
             self.address = self._host.serve(self.router)
         except BaseException:
             self.stop()

@@ -24,6 +24,13 @@ chaos runs.
 ``ping`` and ``metrics`` are answered by the router itself — ``metrics``
 returns the router's own counters plus per-shard health, which is what
 ``repro fabric status`` renders.
+
+The client side of the wire — framing, the handshake gate, the
+per-token rate check, teardown and the listener — is the shared
+:class:`~repro.serve.frontend.FrontEnd`, the same code every shard runs.
+The router adds :meth:`FabricRouter._answer` (routing), one set of
+shard links per client connection, and the probe loop.  Its timeouts
+and retry pacing are the module constants below.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .. import faults
+from ..serve.frontend import FrontEnd
 from ..serve.protocol import (
     REPLY_MAX_BYTES,
     ProtocolError,
@@ -45,13 +53,23 @@ from ..serve.protocol import (
 )
 from ..serve.scheduler import query_key
 from ..serve.telemetry import Telemetry
-from .auth import Authenticator, auth_gate, handshake_ok_line
 from .ring import HashRing
 
 __all__ = ["FabricRouter", "RouterConfig", "ShardSpec"]
 
 #: the shard_id the router stamps on answers it produced itself
 ROUTER_ID = "router"
+#: one probe's reply deadline
+PROBE_TIMEOUT_S = 2.0
+#: opening a shard link
+CONNECT_TIMEOUT_S = 5.0
+#: per-forward reply deadline (covers the shard's own model time)
+SHARD_TIMEOUT_S = 60.0
+#: full passes over the candidate shards before giving up
+ROUTE_ATTEMPTS = 3
+#: pause between passes, times the pass number (lets transient drops
+#: clear)
+ROUTE_BACKOFF_S = 0.02
 
 
 @dataclass(frozen=True)
@@ -74,17 +92,7 @@ class RouterConfig:
     #: per-token queries/second after the handshake (None disables)
     auth_rate: float | None = None
     auth_burst: float | None = None
-    #: virtual nodes per shard on the ring
-    replicas: int = 64
     probe_interval_s: float = 1.0
-    probe_timeout_s: float = 2.0
-    connect_timeout_s: float = 5.0
-    #: per-forward reply deadline (covers the shard's own model time)
-    shard_timeout_s: float = 60.0
-    #: full passes over the candidate shards before giving up
-    route_attempts: int = 3
-    #: pause between passes (lets transient drops clear)
-    route_backoff_s: float = 0.02
 
 
 class ReplyTooLarge(Exception):
@@ -95,10 +103,9 @@ class _ShardLink:
     """One lazily-opened router->shard JSON-lines connection."""
 
     def __init__(self, spec: ShardSpec, token: str | None,
-                 connect_timeout_s: float, reply_timeout_s: float) -> None:
+                 reply_timeout_s: float) -> None:
         self.spec = spec
         self.token = token
-        self.connect_timeout_s = connect_timeout_s
         self.reply_timeout_s = reply_timeout_s
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
@@ -107,7 +114,7 @@ class _ShardLink:
         reader, writer = await asyncio.wait_for(
             asyncio.open_connection(self.spec.host, self.spec.port,
                                     limit=REPLY_MAX_BYTES),
-            self.connect_timeout_s)
+            CONNECT_TIMEOUT_S)
         if self.token is not None:
             writer.write(encode_handshake(self.token).encode())
             await writer.drain()
@@ -168,36 +175,31 @@ class _ShardLink:
                 pass
 
 
-class FabricRouter:
+class FabricRouter(FrontEnd):
     """Routes serve queries across shards; fails over on dead owners."""
+
+    NAME = "fabric router"
+    SERVED_BY = ROUTER_ID
 
     def __init__(self, shards: list[ShardSpec] | tuple[ShardSpec, ...],
                  config: RouterConfig | None = None) -> None:
         specs = list(shards)
         if not specs:
             raise ValueError("a fabric needs at least one shard")
-        self.config = config if config is not None else RouterConfig()
+        super().__init__(config if config is not None else RouterConfig(),
+                         Telemetry(), ROUTER_ID)
         self.specs: dict[str, ShardSpec] = {}
         for spec in specs:
             if spec.shard_id in self.specs:
                 raise ValueError(f"duplicate shard id {spec.shard_id!r}")
             self.specs[spec.shard_id] = spec
-        self.ring = HashRing(list(self.specs),
-                             replicas=self.config.replicas)
-        self.telemetry = Telemetry()
-        self.auth = None
-        if self.config.token:
-            self.auth = Authenticator(self.config.token,
-                                      rate=self.config.auth_rate,
-                                      burst=self.config.auth_burst)
+        self.ring = HashRing(list(self.specs))
         self._down: set[str] = set()
         #: membership view from before the last change (what a stale
         #: routing table would still believe); fabric.route_stale uses it
         self._stale_alive: tuple[str, ...] = tuple(self.specs)
         self._probe_round = 0
-        self._tcp_server: asyncio.AbstractServer | None = None
         self._probe_task: asyncio.Task | None = None
-        self._writers: set[asyncio.StreamWriter] = set()
 
     # ---------------------------------------------------------- membership
     def alive_ids(self) -> tuple[str, ...]:
@@ -218,8 +220,9 @@ class FabricRouter:
         self.telemetry.gauge("shards_alive", len(self.alive_ids()))
 
     # ------------------------------------------------------------- routing
-    async def _route(self, text: str,
-                     links: dict[str, _ShardLink]) -> bytes:
+    async def _answer(self, text: str,
+                      links: dict[str, _ShardLink]) -> bytes:
+        """Forward one query line to its owner; replay on a dead one."""
         try:
             req = decode_request(text)
         except ProtocolError as exc:
@@ -252,9 +255,9 @@ class FabricRouter:
 
         replays = 0
         last_detail = "no shard configured"
-        for attempt in range(max(1, self.config.route_attempts)):
+        for attempt in range(ROUTE_ATTEMPTS):
             if attempt:
-                await asyncio.sleep(self.config.route_backoff_s * attempt)
+                await asyncio.sleep(ROUTE_BACKOFF_S * attempt)
             for shard_id in candidates:
                 try:
                     reply = await links[shard_id].ask(text)
@@ -312,8 +315,7 @@ class FabricRouter:
             self.telemetry.inc("injected_shard_downs_total")
             return False
         link = _ShardLink(self.specs[shard_id], self.config.token,
-                          self.config.connect_timeout_s,
-                          self.config.probe_timeout_s)
+                          PROBE_TIMEOUT_S)
         try:
             reply = await link.ask('{"kind":"ping"}\n')
         except (OSError, ConnectionError, asyncio.TimeoutError):
@@ -343,97 +345,30 @@ class FabricRouter:
                   "healthy": sid not in self._down}
             for sid, spec in self.specs.items()}
         return {"router": snapshot, "shards": shards,
-                "ring": {"replicas": self.config.replicas,
+                "ring": {"replicas": self.ring.replicas,
                          "shards": len(self.specs)}}
 
     # --------------------------------------------------------- wire layer
-    async def _client_connected(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        self.telemetry.inc("connections_total")
-        self._writers.add(writer)
-        links = {
-            sid: _ShardLink(spec, self.config.token,
-                            self.config.connect_timeout_s,
-                            self.config.shard_timeout_s)
-            for sid, spec in self.specs.items()}
-        authed: str | None = None
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    # an oversized line (no newline within the stream
-                    # limit) cannot be parsed or resynchronized past:
-                    # refuse this connection, keep accepting others
-                    self.telemetry.inc("oversized_lines_total")
-                    break
-                if not line:
-                    break
-                if not line.endswith(b"\n"):
-                    # EOF cut the line mid-frame: a fragment is not a
-                    # request — discard it rather than answer garbage
-                    self.telemetry.inc("truncated_lines_total")
-                    break
-                text = line.decode("utf-8", errors="replace").strip()
-                if not text:
-                    continue
-                if self.auth is not None and authed is None:
-                    reply, authed = auth_gate(self.auth, text, ROUTER_ID)
-                    writer.write(reply.encode())
-                    await writer.drain()
-                    if authed is None:
-                        self.telemetry.inc("auth_refused_total")
-                        break
-                    self.telemetry.inc("auth_ok_total")
-                    continue
-                if self.auth is not None \
-                        and not self.auth.try_rate(authed):
-                    self.telemetry.inc("token_rate_limited_total")
-                    writer.write(encode_response(Response(
-                        id=None, ok=False,
-                        error={"code": "rate_limited",
-                               "message": "per-token rate limit "
-                                          "exceeded"},
-                        served_by=ROUTER_ID,
-                        shard_id=ROUTER_ID)).encode())
-                    await writer.drain()
-                    continue
-                writer.write(await self._route(text, links))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError,
-                asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            pass  # router shutdown: just close the connection
-        finally:
-            self._writers.discard(writer)
-            for link in links.values():
-                await link.close()
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (asyncio.CancelledError, ConnectionResetError,
-                    BrokenPipeError, OSError):
-                pass
+    def _open_session(self) -> dict[str, _ShardLink]:
+        """One lazily-opened link per shard for each client connection."""
+        return {sid: _ShardLink(spec, self.config.token, SHARD_TIMEOUT_S)
+                for sid, spec in self.specs.items()}
+
+    async def _close_session(self, links: dict[str, _ShardLink]) -> None:
+        for link in links.values():
+            await link.close()
 
     # ----------------------------------------------------------- lifecycle
     async def start_tcp(self) -> tuple[str, int]:
         """Bind, start probing, start serving; returns (host, port)."""
-        from ..serve.server import require_loopback_or_token
-        require_loopback_or_token(self.config.host,
-                                  self.auth is not None, "fabric router")
-        self._tcp_server = await asyncio.start_server(
-            self._client_connected, self.config.host, self.config.port)
-        sock = self._tcp_server.sockets[0]
-        host, port = sock.getsockname()[:2]
-        self.telemetry.gauge("listen", f"{host}:{port}")
+        address = await super().start_tcp()
         self.telemetry.gauge("shards", len(self.specs))
         self.telemetry.gauge("shards_alive", len(self.alive_ids()))
         self._probe_task = asyncio.get_running_loop().create_task(
             self._probe_loop())
-        return host, port
+        return address
 
-    async def stop(self) -> None:
+    async def _release(self) -> None:
         if self._probe_task is not None:
             self._probe_task.cancel()
             try:
@@ -441,22 +376,3 @@ class FabricRouter:
             except asyncio.CancelledError:
                 pass
             self._probe_task = None
-        if self._tcp_server is not None:
-            self._tcp_server.close()
-            await self._tcp_server.wait_closed()
-            self._tcp_server = None
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except OSError:  # pragma: no cover - already torn down
-                pass
-
-    async def serve_forever(self) -> None:
-        """``repro fabric start``: run until cancelled."""
-        assert self._tcp_server is not None, "call start_tcp() first"
-        try:
-            await self._tcp_server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await self.stop()

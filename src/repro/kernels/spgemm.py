@@ -15,7 +15,8 @@ tree-ordered k accumulation.
 Functional execution computes C = A @ A on the Table 4 matrices at a
 reduced ``scale`` (full-scale block expansion exceeds a Python session's
 memory budget; the analytic path runs symbolically at any scale).  The
-counters read only the block pattern
+counters read only the expansion sizes (:func:`expansion_sizes`), taken
+once per matrix from the block pattern
 (:func:`repro.sparse.mbsr.block_pattern`), never the block payloads, so
 the analytic path builds no :class:`MbsrMatrix`.
 """
@@ -45,7 +46,7 @@ from .base import (
     WorkloadCase,
 )
 
-__all__ = ["SpgemmWorkload"]
+__all__ = ["SpgemmWorkload", "expansion_sizes"]
 
 #: default matrix scale for functional execution
 EXEC_SCALE = 0.25
@@ -59,13 +60,24 @@ TC_REUSE = 0.70
 BASE_REUSE = 0.15
 
 
+def expansion_sizes(a: CsrMatrix, pattern: tuple[np.ndarray, np.ndarray]
+                    ) -> tuple[float, float, int]:
+    """Expansion sizes of ``a @ a``: scalar products (essential
+    multiply-adds), block products, and the number of blocks in mBSR
+    block pattern ``pattern`` (:func:`block_pattern`)."""
+    block_indptr, block_indices = pattern
+    blk_len = np.diff(block_indptr)
+    return (float(a.row_lengths()[a.indices].sum()),
+            float(blk_len[block_indices].sum()), len(block_indices))
+
+
 @functools.lru_cache(maxsize=32)
 def _analytic_matrix(name: str, scale: float
-                     ) -> tuple[CsrMatrix, tuple[np.ndarray, np.ndarray]]:
-    """Cache the (deterministic) analytic matrix and its mBSR block
-    pattern so the four variants of a case do not regenerate them."""
+                     ) -> tuple[CsrMatrix, tuple[float, float, int]]:
+    """Cache the (deterministic) analytic matrix and its expansion sizes
+    so the four variants of a case do not recompute them."""
     a = generate_matrix(name, scale=scale)
-    return a, block_pattern(a)
+    return a, expansion_sizes(a, block_pattern(a))
 
 
 class SpgemmWorkload(Workload):
@@ -150,8 +162,11 @@ class SpgemmWorkload(Workload):
                 out = self._block_spgemm(data["mbsr"], tree=tree)
                 if not audited:
                     data[cache_key] = out
-        m = data["mbsr"]
-        stats = self._stats(variant, a, (m.block_indptr, m.block_indices))
+        if "sizes" not in data:     # once per prepared case
+            m = data["mbsr"]
+            data["sizes"] = expansion_sizes(
+                a, (m.block_indptr, m.block_indices))
+        stats = self._stats(variant, a, data["sizes"])
         return device.resolve(stats, output=out)
 
     @staticmethod
@@ -230,18 +245,12 @@ class SpgemmWorkload(Workload):
                            *_analytic_matrix(case["matrix"], self.scale))
 
     def _stats(self, variant: Variant, a: CsrMatrix,
-               pattern: tuple[np.ndarray, np.ndarray]) -> KernelStats:
-        """Counters of ``a`` with mBSR block pattern ``pattern``
-        (:func:`block_pattern`)."""
-        block_indptr, block_indices = pattern
+               sizes: tuple[float, float, int]) -> KernelStats:
+        """Counters of ``a`` with expansion sizes ``sizes``
+        (:func:`expansion_sizes`)."""
+        scalar_products, block_products, blocks = sizes
         st = KernelStats()
-        # scalar expansion size (essential multiply-adds)
-        b_len = a.row_lengths()
-        scalar_products = float(b_len[a.indices].sum())
         st.essential_flops = 2.0 * scalar_products
-        # block expansion size
-        blk_len = np.diff(block_indptr)
-        block_products = float(blk_len[block_indices].sum())
         c_bytes_est = 12.0 * min(scalar_products, float(a.n_rows) * 512)
         if variant is Variant.BASELINE:
             st.add_fma(2.0 * scalar_products)
@@ -266,7 +275,7 @@ class SpgemmWorkload(Workload):
             else:  # CC-E: the 4x4x4 block products without the MMA padding
                 st.add_fma(2.0 * block_products * BLOCK ** 3)
                 st.cc_efficiency = CC_EFF
-            st.read_dram(block_bytes * len(block_indices), segment_bytes=128)
+            st.read_dram(block_bytes * blocks, segment_bytes=128)
             st.read_dram(block_bytes * block_products * TC_REUSE,
                          segment_bytes=128)
         st.write_dram(c_bytes_est, segment_bytes=1 << 10)

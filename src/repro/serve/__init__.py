@@ -18,7 +18,8 @@ harness).  Protocol and degradation semantics: docs/SERVE.md.
 """
 
 from .admission import AdmissionController, CircuitBreaker, TokenBucket
-from .client import InProcessClient, ServeClient, ServeConnectionError
+from .client import ServeClient, ServeConnectionError
+from .frontend import require_loopback_or_token
 from .loadgen import (
     DEFAULT_MIX,
     HostedService,
@@ -47,19 +48,13 @@ from .protocol import (
 )
 from .queries import resolve_perf_batch, resolve_query
 from .scheduler import ModelPool, Scheduler, query_key
-from .server import (
-    CharacterizationService,
-    ServeConfig,
-    require_loopback_or_token,
-    run_query_locally,
-)
+from .server import CharacterizationService, ServeConfig, run_query_locally
 from .telemetry import RollingHistogram, Telemetry, Trace
 
 __all__ = [
     "AdmissionController",
     "CircuitBreaker",
     "TokenBucket",
-    "InProcessClient",
     "ServeClient",
     "ServeConnectionError",
     "DEFAULT_MIX",

@@ -2,10 +2,7 @@
 
 :class:`ServeClient` is the blocking TCP JSON-lines client the CLI and
 load generator use — stdlib sockets only, one connection, sequential
-queries.  :class:`InProcessClient` wraps a
-:class:`~repro.serve.server.CharacterizationService` directly for
-embedding the service into another asyncio program (or test) without a
-socket in between.
+queries.
 
 Transport failures are survivable (docs/ROBUSTNESS.md): every query is
 idempotent — answers are content-keyed and deterministic — so a dropped
@@ -34,7 +31,7 @@ from .protocol import (
     normalize_params,
 )
 
-__all__ = ["InProcessClient", "ServeClient", "ServeConnectionError"]
+__all__ = ["ServeClient", "ServeConnectionError"]
 
 
 class ServeConnectionError(ProtocolError):
@@ -236,21 +233,3 @@ class ServeClient:
                 time.sleep(self._backoff_s(attempt))
                 attempt += 1
                 self.retry_count += 1
-
-
-class InProcessClient:
-    """Async client bound directly to a service instance (no socket)."""
-
-    def __init__(self, service: Any) -> None:
-        self.service = service
-        self._counter = 0
-
-    async def query(self, kind: str,
-                    params: Mapping[str, Any] | None = None, *,
-                    deadline_s: float | None = None,
-                    fresh: bool = False) -> Response:
-        self._counter += 1
-        req = Request(kind=kind, params=normalize_params(kind, params),
-                      id=f"p{self._counter}", deadline_s=deadline_s,
-                      fresh=fresh)
-        return await self.service.handle(req)

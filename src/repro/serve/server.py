@@ -1,11 +1,13 @@
-"""The asyncio characterization-query service and its TCP front end.
+"""The asyncio characterization-query service.
 
-:class:`CharacterizationService` is transport-free: ``handle`` takes a
-decoded :class:`~repro.serve.protocol.Request` through the pipeline
-(admission -> coalesce/cache -> model pool -> response) and
-``handle_line`` wraps it for the JSON-lines wire.  The stdlib-only TCP
-server (`asyncio.start_server`) feeds lines to ``handle_line``, one
-connection per client, many concurrent clients per event loop.
+``CharacterizationService.handle`` takes a decoded
+:class:`~repro.serve.protocol.Request` through the pipeline (admission
+-> coalesce/cache -> model pool -> response) and ``handle_line`` wraps
+it for the JSON-lines wire.  The TCP side — framing, handshake gate,
+per-token rate check, connection teardown, listener lifecycle — is the
+shared :class:`~repro.serve.frontend.FrontEnd`, which feeds each query
+line to ``handle_line`` after the service's ``serve.conn_drop`` fault
+site.
 
 Degradation semantics (see docs/SERVE.md): a request that passes the
 rate gate but finds its query kind's circuit breaker open — or that
@@ -20,46 +22,23 @@ still completes and refreshes the store for the next request.
 from __future__ import annotations
 
 import asyncio
-import socket
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from .. import faults
 from .admission import AdmissionController
+from .frontend import FrontEnd
 from .protocol import (
     ProtocolError,
     Request,
     Response,
     decode_request,
     encode_response,
-    is_handshake_line,
 )
 from .scheduler import ModelPool, Scheduler, query_key
 from .telemetry import Telemetry, Trace
 
-__all__ = ["CharacterizationService", "ServeConfig",
-           "require_loopback_or_token", "run_query_locally"]
-
-#: hosts the server may bind without authentication
-_LOOPBACK_HOSTS = frozenset({"localhost", "::1"})
-
-
-def require_loopback_or_token(host: str, has_token: bool,
-                              what: str = "serve") -> None:
-    """Refuse to bind a non-loopback interface without authentication.
-
-    Binding ``0.0.0.0`` (or any routable address) exposes the model to
-    the network; the fabric's contract is that such a listener always
-    demands the shared-token handshake first.  Loopback binds stay
-    token-optional for local development.
-    """
-    if has_token:
-        return
-    if host in _LOOPBACK_HOSTS or host.startswith("127."):
-        return
-    raise ValueError(
-        f"refusing to bind {what} on non-loopback {host!r} without "
-        f"authentication; pass --token (or REPRO_SERVE_TOKEN)")
+__all__ = ["CharacterizationService", "ServeConfig", "run_query_locally"]
 
 
 @dataclass(frozen=True)
@@ -81,7 +60,6 @@ class ServeConfig:
     breaker_threshold: int = 5
     breaker_cooldown_s: float = 10.0
     results_cap: int = 1024
-    histogram_window: int = 2048
     #: fabric identity stamped on every response (None outside a fabric)
     shard_id: str | None = None
     #: shared handshake secret; required before binding non-loopback
@@ -108,7 +86,7 @@ def _build_parts(config: ServeConfig,
                  resolver: Callable[..., Any] | None,
                  perf_batch_resolver: Callable[..., Any] | None,
                  clock: Callable[[], float] | None) -> _ServiceParts:
-    telemetry = Telemetry(histogram_window=config.histogram_window)
+    telemetry = Telemetry()
     admission_kwargs: dict[str, Any] = dict(
         max_queue_depth=config.max_queue_depth,
         rate=config.rate, burst=config.burst,
@@ -138,29 +116,20 @@ def _build_parts(config: ServeConfig,
     return _ServiceParts(telemetry, admission, pool, scheduler, store)
 
 
-class CharacterizationService:
+class CharacterizationService(FrontEnd):
     """The query service: pipeline + optional TCP listener."""
 
     def __init__(self, config: ServeConfig | None = None, *,
                  resolver: Callable[..., Any] | None = None,
                  perf_batch_resolver: Callable[..., Any] | None = None,
                  clock: Callable[[], float] | None = None) -> None:
-        self.config = config if config is not None else ServeConfig()
-        parts = _build_parts(self.config, resolver, perf_batch_resolver,
-                             clock)
-        self.telemetry = parts.telemetry
+        config = config if config is not None else ServeConfig()
+        parts = _build_parts(config, resolver, perf_batch_resolver, clock)
+        super().__init__(config, parts.telemetry, config.shard_id)
         self.admission = parts.admission
         self.pool = parts.pool
         self.scheduler = parts.scheduler
         self.store = parts.store
-        self.auth = None
-        if self.config.token:
-            from ..fabric.auth import Authenticator  # avoid import cycle
-            self.auth = Authenticator(self.config.token,
-                                      rate=self.config.auth_rate,
-                                      burst=self.config.auth_burst)
-        self._tcp_server: asyncio.AbstractServer | None = None
-        self._writers: set[asyncio.StreamWriter] = set()
         if self.config.shard_id is not None:
             self.telemetry.gauge("shard_id", self.config.shard_id)
 
@@ -295,114 +264,19 @@ class CharacterizationService:
             _span_only(trace, "serialize"))
         return encoded
 
-    async def _client_connected(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        self.telemetry.inc("connections_total")
-        self._writers.add(writer)
-        authed: str | None = None
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    # an oversized line (no newline within the stream
-                    # limit) cannot be parsed or resynchronized past:
-                    # refuse this connection; the accept loop lives on
-                    self.telemetry.inc("oversized_lines_total")
-                    break
-                if not line:
-                    break
-                if not line.endswith(b"\n"):
-                    # EOF cut the line mid-frame (the peer died while
-                    # writing): a fragment is not a request — discard it
-                    self.telemetry.inc("truncated_lines_total")
-                    break
-                text = line.decode("utf-8", errors="replace").strip()
-                if not text:
-                    continue
-                if self.auth is not None and authed is None:
-                    # token-protected: the first line must be a valid
-                    # handshake — refused before any query parsing
-                    from ..fabric.auth import auth_gate
-                    reply, authed = auth_gate(self.auth, text,
-                                              self.config.shard_id)
-                    writer.write(reply.encode())
-                    await writer.drain()
-                    if authed is None:
-                        self.telemetry.inc("auth_refused_total")
-                        break
-                    self.telemetry.inc("auth_ok_total")
-                    continue
-                if self.auth is None and is_handshake_line(text):
-                    # tokenless server: politely confirm a handshake so
-                    # fabric clients configured with a token still work
-                    from ..fabric.auth import handshake_ok_line
-                    writer.write(handshake_ok_line(
-                        self.config.shard_id).encode())
-                    await writer.drain()
-                    continue
-                if self.auth is not None \
-                        and not self.auth.try_rate(authed):
-                    self.telemetry.inc("token_rate_limited_total")
-                    writer.write(encode_response(Response(
-                        id=None, ok=False,
-                        error={"code": "rate_limited",
-                               "message": "per-token rate limit "
-                                          "exceeded"},
-                        shard_id=self.config.shard_id)).encode())
-                    await writer.drain()
-                    continue
-                if faults.site("serve.conn_drop"):
-                    # injected drop: close without replying — the client's
-                    # retry re-asks an idempotent, content-keyed query
-                    self.telemetry.inc("injected_conn_drops_total")
-                    break
-                writer.write((await self.handle_line(text)).encode())
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError,
-                asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            pass  # service shutdown: just close the connection
-        finally:
-            self._writers.discard(writer)
-            # shutdown() before close(): a forked model-pool worker may
-            # hold a duplicate of this fd (the pool is created lazily,
-            # after connections exist), and close() alone would leave the
-            # connection open until every copy dies — the client would
-            # hang to its socket timeout instead of seeing EOF.
-            # shutdown() acts on the connection itself, so the FIN goes
-            # out regardless of duplicated descriptors.
-            try:
-                sock = writer.get_extra_info("socket")
-                if sock is not None:
-                    sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass  # already disconnected
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (asyncio.CancelledError, ConnectionResetError,
-                    BrokenPipeError, OSError):
-                pass
+    async def _answer(self, text: str, session: Any) -> bytes | None:
+        if faults.site("serve.conn_drop"):
+            # injected drop: close without replying — the client's retry
+            # re-asks an idempotent, content-keyed query
+            self.telemetry.inc("injected_conn_drops_total")
+            return None
+        return (await self.handle_line(text)).encode()
 
     # ------------------------------------------------------------ lifecycle
-    async def start_tcp(self) -> tuple[str, int]:
-        """Bind and start serving; returns the bound (host, port)."""
-        require_loopback_or_token(self.config.host, self.auth is not None)
-        self._tcp_server = await asyncio.start_server(
-            self._client_connected, self.config.host, self.config.port)
-        sock = self._tcp_server.sockets[0]
-        host, port = sock.getsockname()[:2]
-        self.telemetry.gauge("listen", f"{host}:{port}")
-        return host, port
-
-    async def stop(self) -> None:
-        if self._tcp_server is not None:
-            self._tcp_server.close()
-            await self._tcp_server.wait_closed()
-            self._tcp_server = None
+    async def _drain(self) -> None:
         await self.scheduler.drain()
+
+    async def _release(self) -> None:
         self.pool.shutdown()
 
     async def abort(self) -> None:
@@ -417,7 +291,7 @@ class CharacterizationService:
         server, self._tcp_server = self._tcp_server, None
         if server is not None:
             server.close()
-        for writer in list(self._writers):
+        for writer in list(self._conns.values()):
             transport = writer.transport
             if transport is not None:
                 transport.abort()
@@ -426,16 +300,6 @@ class CharacterizationService:
         if server is not None:
             # after the resets: a server may wait for its connections
             await server.wait_closed()
-
-    async def serve_forever(self) -> None:
-        """``repro serve``: run until cancelled."""
-        assert self._tcp_server is not None, "call start_tcp() first"
-        try:
-            await self._tcp_server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await self.stop()
 
 
 def _span_only(trace: Trace, name: str) -> Trace:

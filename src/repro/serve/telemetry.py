@@ -24,6 +24,8 @@ __all__ = ["RollingHistogram", "Telemetry", "Trace"]
 
 #: the pipeline phases every request is traced through, in order
 PHASES = ("queue", "resolve", "model", "serialize")
+#: samples each rolling latency histogram keeps
+HISTOGRAM_WINDOW = 2048
 
 
 class Trace:
@@ -68,7 +70,7 @@ class Trace:
 class RollingHistogram:
     """Bounded latency window with nearest-rank percentiles."""
 
-    def __init__(self, window: int = 2048) -> None:
+    def __init__(self, window: int = HISTOGRAM_WINDOW) -> None:
         self._samples: deque[float] = deque(maxlen=window)
         self.count = 0  # lifetime observations, beyond the window
 
@@ -103,9 +105,8 @@ class Telemetry:
     takes the (uncontended, tiny-critical-section) lock.
     """
 
-    def __init__(self, histogram_window: int = 2048) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._window = histogram_window
         self._counters: defaultdict[str, int] = defaultdict(int)
         self._gauges: dict[str, Any] = {}
         self._latency: dict[str, RollingHistogram] = {}
@@ -125,7 +126,7 @@ class Telemetry:
         with self._lock:
             hist = self._latency.get(kind)
             if hist is None:
-                hist = self._latency[kind] = RollingHistogram(self._window)
+                hist = self._latency[kind] = RollingHistogram()
             hist.observe(seconds)
 
     def observe_trace(self, trace: Trace) -> None:
@@ -134,7 +135,7 @@ class Telemetry:
             for name, seconds in trace.spans.items():
                 hist = self._spans.get(name)
                 if hist is None:
-                    hist = self._spans[name] = RollingHistogram(self._window)
+                    hist = self._spans[name] = RollingHistogram()
                 hist.observe(seconds)
 
     # -------------------------------------------------------------- read

@@ -21,6 +21,7 @@ from repro.gpu.counters import KernelStats
 from repro.kernels import get_workload
 from repro.kernels.base import MLP_IRREGULAR, Variant
 from repro.kernels.bfs import BfsWorkload, graph_layout, with_bitmap
+from repro.kernels.spgemm import expansion_sizes
 from repro.kernels.spmv import gather_segment_bytes
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.dasp import DaspMatrix
@@ -100,9 +101,10 @@ class TestAnalyticStatsEqualFilledReference:
         for case in w.cases():
             a = generate_matrix(case["matrix"], scale=w.scale)
             pattern = _mbsr_reference(a)[:2]      # the fused-sort pattern
+            sizes = expansion_sizes(a, pattern)
             for v in w.variants():
                 _assert_same_stats(w.analytic_stats(v, case),
-                                   w._stats(v, a, pattern), (case.label, v))
+                                   w._stats(v, a, sizes), (case.label, v))
 
     @pytest.mark.slow
     def test_bfs(self):

@@ -1,36 +1,64 @@
-"""Handshake framing under hostile input.
+"""Handshake framing under hostile input, at both wire front ends.
 
 Raw-socket drills against an authenticated server: malformed, truncated,
 oversized, and out-of-order handshake lines must each produce a typed
 refusal (or a clean close) without ever crashing the accept loop — after
 every abuse case the server still answers a well-formed connection.
+
+The shard service and the fabric router share one front end, so every
+drill runs against both: each ``TestRouter*`` class reruns its base
+class's tests on a router over one shard (``FRONT = "router"``).
 """
 
 import json
 import socket
+from contextlib import contextmanager
 
 import pytest
 
+from repro.fabric.router import FabricRouter, RouterConfig, ShardSpec
 from repro.serve import (
     HANDSHAKE_MAX_BYTES,
-    HostedService,
-    ProtocolError,
+    CharacterizationService,
     ServeClient,
     ServeConfig,
     ServeConnectionError,
     encode_handshake,
 )
 from repro.serve.client import ServeConnectionError as _SCE
+from repro.serve.loadgen import ServerHost
 
 TOKEN = "hunter2"
+#: the identity each front end stamps on its handshake reply
+IDENTITY = {"service": "s9", "router": "router"}
 
 
-@pytest.fixture(scope="module")
-def auth_service():
-    config = ServeConfig(host="127.0.0.1", port=0, pool_mode="thread",
-                         workers=1, shard_id="s9", token=TOKEN)
-    with HostedService(config) as hosted:
-        yield hosted.address
+@contextmanager
+def hosted(front, token=None, **rate):
+    """The address of one front end: the service (shard ``s9``), or a
+    router over that shard.  ``rate`` (``auth_rate``, ``auth_burst``)
+    goes to the front end."""
+    host = ServerHost()
+    try:
+        shard_rate = rate if front == "service" else {}
+        shard = host.serve(CharacterizationService(ServeConfig(
+            host="127.0.0.1", port=0, pool_mode="thread", workers=1,
+            shard_id="s9", token=token, **shard_rate)))
+        if front == "service":
+            yield shard
+        else:
+            yield host.serve(FabricRouter(
+                [ShardSpec("s9", *shard)],
+                RouterConfig(host="127.0.0.1", port=0, token=token,
+                             probe_interval_s=60.0, **rate)))
+    finally:
+        host.stop()
+
+
+@pytest.fixture(scope="class")
+def auth_service(request):
+    with hosted(request.cls.FRONT, token=TOKEN) as address:
+        yield address
 
 
 def exchange(address, payload: bytes, lines: int = 1) -> list[bytes]:
@@ -54,25 +82,32 @@ def assert_still_serving(address):
 
 
 class TestHandshakeAccepts:
+    FRONT = "service"
+
     def test_valid_handshake_then_ping(self, auth_service):
         payload = encode_handshake(TOKEN).encode() + b'{"kind":"ping"}\n'
         hello, pong = exchange(auth_service, payload, lines=2)
         hello = json.loads(hello)
         assert hello["ok"] is True
-        assert hello["result"]["shard_id"] == "s9"
+        assert hello["result"]["shard_id"] == IDENTITY[self.FRONT]
         assert json.loads(pong)["result"] == "pong"
 
     def test_tokenless_server_answers_handshake_politely(self):
         """A client configured with a token can still talk to a plain
         server: the handshake gets a friendly OK instead of an error."""
-        config = ServeConfig(host="127.0.0.1", port=0, pool_mode="thread",
-                             workers=1)
-        with HostedService(config) as hosted:
-            with ServeClient(*hosted.address, token="whatever") as client:
+        with hosted(self.FRONT) as address:
+            with ServeClient(*address, token="whatever") as client:
+                assert client.shard_id == IDENTITY[self.FRONT]
                 assert client.query("ping").result == "pong"
 
 
+class TestRouterHandshakeAccepts(TestHandshakeAccepts):
+    FRONT = "router"
+
+
 class TestHandshakeRefusals:
+    FRONT = "service"
+
     def test_query_before_handshake_is_auth_required(self, auth_service):
         reply, = exchange(auth_service,
                           b'{"kind": "quadrant", "params": '
@@ -116,7 +151,13 @@ class TestHandshakeRefusals:
         assert then == b""  # EOF: no service after a refusal
 
 
+class TestRouterHandshakeRefusals(TestHandshakeRefusals):
+    FRONT = "router"
+
+
 class TestFraming:
+    FRONT = "service"
+
     def test_unterminated_giant_line_closes_cleanly(self, auth_service):
         """A line exceeding the stream limit (64 KiB) cannot be parsed or
         resynchronized past: the server drops the connection instead of
@@ -145,18 +186,27 @@ class TestFraming:
         assert json.loads(hello)["ok"] is True
 
 
+class TestRouterFraming(TestFraming):
+    FRONT = "router"
+
+
 class TestPerTokenRate:
+    FRONT = "service"
+
     def test_second_immediate_query_is_rate_limited(self):
-        config = ServeConfig(host="127.0.0.1", port=0, pool_mode="thread",
-                             workers=1, token=TOKEN, auth_rate=0.001,
-                             auth_burst=1.0)
-        with HostedService(config) as hosted:
-            with ServeClient(*hosted.address, token=TOKEN) as client:
+        with hosted(self.FRONT, token=TOKEN, auth_rate=0.001,
+                    auth_burst=1.0) as address:
+            with ServeClient(*address, token=TOKEN) as client:
                 first = client.query("ping")
                 second = client.query("ping")
         assert first.ok
         assert not second.ok
         assert second.error["code"] == "rate_limited"
+        assert second.shard_id == IDENTITY[self.FRONT]
+
+
+class TestRouterPerTokenRate(TestPerTokenRate):
+    FRONT = "router"
 
 
 class TestClientErrors:
