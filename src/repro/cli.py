@@ -760,8 +760,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="model pool size (default: 2)")
         p.add_argument("--pool", choices=("process", "thread"),
                        default="process",
-                       help="model pool kind (process pools degrade to "
-                            "threads automatically where unavailable)")
+                       help="model pool kind (a crashed process pool is "
+                            "rebuilt; a call out of retries runs in-process)")
         p.add_argument("--inner-jobs", type=int, default=1,
                        help="graph-scheduler jobs inside one (batched) "
                             "perf grid evaluation")

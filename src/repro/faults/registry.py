@@ -36,12 +36,12 @@ class FaultSite:
 FAULT_SITES: tuple[FaultSite, ...] = (
     FaultSite(
         "executor.worker_crash", "executor",
-        "a pool worker dies abruptly (os._exit) at chunk start, breaking "
-        "the whole process pool mid-map"),
+        "a pool worker dies abruptly (os._exit) as it starts a graph node "
+        "or a served model call, breaking the whole process pool"),
     FaultSite(
         "executor.worker_hang", "executor",
-        "a pool worker stalls at chunk start for longer than the "
-        "configured per-chunk timeout"),
+        "a pool worker stalls before a graph node or a served model call "
+        "for twice REPRO_CHUNK_TIMEOUT_S (2 s when unset)"),
     FaultSite(
         "cache.read_corrupt", "cache",
         "bytes read from an on-disk cache entry are flipped, so the "

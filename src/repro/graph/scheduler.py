@@ -23,14 +23,16 @@ Execution model:
   stage-registry snapshots ship back per node and the
   ``executor.worker_crash`` / ``worker_hang`` fault sites fire under
   keys ``graph:<node key>:<attempt>``.
-* recovery (docs/ROBUSTNESS.md): a ``BrokenProcessPool``, an
-  ``OSError``, or a round in which no node finished within
-  ``chunk_timeout_s`` fails the round — completed results are harvested
-  (never recomputed), the pool's workers are terminated, and the rest
-  are resubmitted to a rebuilt pool with backoff, degrading to the
-  in-process serial path after ``max_retries`` failed rounds.  Any other
-  exception (a :class:`~repro.perf.executor.WorkerTaskError`, a payload
-  that cannot pickle) kills the pool and propagates at once.
+* recovery (docs/ROBUSTNESS.md), the one rule serve's process-mode
+  :class:`~repro.serve.scheduler.ModelPool` follows too: a
+  :data:`POOL_FAILURES` error, from a future or from ``submit``, or a
+  round in which no node finished within ``REPRO_CHUNK_TIMEOUT_S``
+  fails the round — completed results are harvested (never
+  recomputed), the pool's workers are terminated, and the rest are
+  resubmitted to a rebuilt pool after :func:`backoff_s`, degrading to
+  the in-process serial path after :data:`MAX_RETRIES` failed rounds.
+  Any other exception (a :class:`~repro.perf.executor.WorkerTaskError`,
+  a payload that cannot pickle) kills the pool and propagates at once.
 * nodes the :class:`~repro.graph.policy.ConcurrencyPolicy` marks
   exclusive (impure per ``determinism_facts.json``) never enter the
   pool: the scheduler drains in-flight work, then runs them in the
@@ -53,7 +55,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..perf.executor import (WorkerTaskError, _env_float, _env_int,
+from ..perf.executor import (WorkerTaskError, _env_float,
                              _run_chunk_remote, resolve_n_jobs)
 from ..perf.instrument import (merge_stage_timings, note_graph_run,
                                note_worker_count, stage)
@@ -62,17 +64,48 @@ from .policy import ConcurrencyPolicy
 
 __all__ = ["GraphScheduler", "GraphStats"]
 
+#: a pool's own failures (a worker died, or none could start); any other
+#: error is the work's own answer and is never retried
+POOL_FAILURES = (BrokenProcessPool, OSError)
+#: pool failures absorbed before the remaining work runs in-process
+MAX_RETRIES = 3
+#: the pause after the n-th pool failure: base * 2**(n - 1), capped
+BACKOFF_BASE_S, BACKOFF_CAP_S = 0.05, 2.0
+
+
+def backoff_s(failures: int) -> float:
+    return min(BACKOFF_BASE_S * 2 ** (failures - 1), BACKOFF_CAP_S)
+
+
+def submit_remote(pool: ProcessPoolExecutor, fn: Any, arg: Any,
+                  label: str, fault_key: str,
+                  timeout_s: float | None = None) -> Future:
+    """Submit ``fn(arg)`` through the pool-worker entry, whose fault
+    sites fire under ``fault_key``; an injected hang outlasts
+    ``timeout_s`` (2 s when unset)."""
+    return pool.submit(_run_chunk_remote, (fn, [arg], [label], None,
+                                           fault_key, 2 * (timeout_s or 1)))
+
+
+def remote_value(fut: Future) -> Any:
+    """The value of a finished :func:`submit_remote` future; the worker's
+    stage timings merge into this process's registry."""
+    out, timings = fut.result()
+    merge_stage_timings(timings)
+    return out[0]
+
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
     """Tear a pool down without waiting on hung or dead workers.
 
     The worker handles are read before ``shutdown``, which drops the
     pool's reference to them.  The pool's manager thread sees the
-    workers die and reaps them; joining it first keeps a second thread
-    from racing it to ``waitpid``."""
+    workers die, fails every unfinished future (none is cancelled, so
+    each caller sees a pool failure) and reaps them; joining it first
+    keeps a second thread from racing it to ``waitpid``."""
     procs = list((pool._processes or {}).values())
     manager = pool._executor_manager_thread
-    pool.shutdown(wait=False, cancel_futures=True)
+    pool.shutdown(wait=False)
     for proc in procs:
         with suppress(OSError, ValueError):  # already gone
             proc.terminate()
@@ -133,29 +166,15 @@ class GraphScheduler:
     """Execute a :class:`TaskGraph`; results keyed by node key.
 
     ``n_jobs`` resolves like every worker count (explicit >
-    ``REPRO_JOBS`` > CPU count; 1 inside a pool worker).
-    ``chunk_timeout_s`` ends a pool round in which no node finishes in
-    time (default ``REPRO_CHUNK_TIMEOUT_S``; unset = wait forever);
-    ``max_retries`` caps the failed rounds before the remaining nodes
-    degrade to the serial path (default ``REPRO_EXECUTOR_RETRIES``, else
-    3); backoff between rounds grows ``backoff_base_s * 2**round`` up to
-    ``backoff_cap_s``.
+    ``REPRO_JOBS`` > CPU count; 1 inside a pool worker).  A pool round in
+    which no node finishes within ``REPRO_CHUNK_TIMEOUT_S`` fails (unset
+    = wait forever); the retry budget and backoff are the module's.
     """
 
     def __init__(self, n_jobs: int | None = None, *,
-                 policy: ConcurrencyPolicy | None = None,
-                 chunk_timeout_s: float | None = None,
-                 max_retries: int | None = None,
-                 backoff_base_s: float = 0.05,
-                 backoff_cap_s: float = 2.0) -> None:
+                 policy: ConcurrencyPolicy | None = None) -> None:
         self.n_jobs = resolve_n_jobs(n_jobs)
-        self.chunk_timeout_s = chunk_timeout_s \
-            if chunk_timeout_s is not None \
-            else _env_float("REPRO_CHUNK_TIMEOUT_S")
-        self.max_retries = max_retries if max_retries is not None \
-            else _env_int("REPRO_EXECUTOR_RETRIES", 3)
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
+        self.chunk_timeout_s = _env_float("REPRO_CHUNK_TIMEOUT_S")
         self.policy = policy if policy is not None else ConcurrencyPolicy()
         self.last_stats = GraphStats()
 
@@ -212,14 +231,6 @@ class GraphScheduler:
         return value
 
     # ---------------------------------------------------------- pooled
-    def _payload(self, node: TaskNode, attempt: int,
-                 results: dict[str, Any]) -> tuple:
-        hang_s = 2.0 * self.chunk_timeout_s if self.chunk_timeout_s \
-            else 2.0
-        return (_exec_node, [_call(node, results)],
-                [node.display], None, f"graph:{node.key}:{attempt}",
-                hang_s)
-
     def _run_pooled(self, graph: TaskGraph, order: list[str],
                     workers: int, walls: dict[str, float],
                     stats: GraphStats) -> dict[str, Any]:
@@ -247,17 +258,11 @@ class GraphScheduler:
         def _settle(fut: Future, key: str) -> bool:
             """Take a finished node's result; False when the pool failed
             under it.  Any other exception propagates."""
-            exc = fut.exception()
-            if exc is None:
-                out, timings = fut.result()
-                value, wall = out[0]
-                merge_stage_timings(timings)
-                walls[key] = wall
-                _complete(key, value)
-                return True
-            if isinstance(exc, (BrokenProcessPool, OSError)):
+            if isinstance(fut.exception(), POOL_FAILURES):
                 return False
-            raise exc
+            value, walls[key] = remote_value(fut)
+            _complete(key, value)
+            return True
 
         def _retry(key: str) -> None:
             attempts[key] += 1
@@ -278,11 +283,18 @@ class GraphScheduler:
                                         len(order) - len(results)))
                 while ready and len(inflight) < workers:
                     key = heapq.heappop(ready)
+                    node = graph.node(key)
                     stats.retried_nodes += attempts[key] > 0
-                    fut = pool.submit(
-                        _run_chunk_remote,
-                        self._payload(graph.node(key), attempts[key],
-                                      results))
+                    try:
+                        fut = submit_remote(
+                            pool, _exec_node, _call(node, results),
+                            node.display, f"graph:{key}:{attempts[key]}",
+                            self.chunk_timeout_s)
+                    except POOL_FAILURES as exc:
+                        # broken by a crash no future has reported yet:
+                        # fail the round as a future would
+                        fut = Future()
+                        fut.set_exception(exc)
                     inflight[fut] = key
                 if not inflight:
                     if exclusive:
@@ -319,21 +331,17 @@ class GraphScheduler:
                 failed_rounds += 1
                 stats.failed_rounds = failed_rounds
                 stats.reused_nodes = max(stats.reused_nodes, len(results))
-                if failed_rounds > self.max_retries:
+                if failed_rounds > MAX_RETRIES:
                     break
-                time.sleep(min(
-                    self.backoff_base_s * (2 ** (failed_rounds - 1)),
-                    self.backoff_cap_s))
-        except KeyboardInterrupt:
-            if pool is not None:
-                _kill_pool(pool)
-            raise KeyboardInterrupt(
-                "interrupted; cancelled pending nodes and retries"
-            ) from None
-        except BaseException:
+                time.sleep(backoff_s(failed_rounds))
+        except BaseException as exc:
             # not the pool's failure: retrying would fail the same way
             if pool is not None:
                 _kill_pool(pool)
+            if isinstance(exc, KeyboardInterrupt):
+                raise KeyboardInterrupt(
+                    "interrupted; cancelled pending nodes and retries"
+                ) from None
             raise
         if pool is not None:
             pool.shutdown(wait=True)

@@ -14,7 +14,8 @@ under the chunk node's ``graph/map-chunk`` stage; pool-worker timings
 are merged back under the stage active at the ``map`` call site.  A
 failing item raises :class:`WorkerTaskError` naming it.
 
-:func:`_run_chunk_remote` is the pool-worker entry of every graph node.
+:func:`_run_chunk_remote` is the pool-worker entry of every graph node
+and of every call to serve's process-mode model pool.
 """
 
 from __future__ import annotations
@@ -77,24 +78,12 @@ def resolve_n_jobs(n_jobs: int | None = None) -> int:
 
 
 def _env_float(name: str) -> float | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
+    """A positive float from the environment; None when unset or bad."""
     try:
-        value = float(raw)
+        value = float(os.environ.get(name, ""))
     except ValueError:
         return None
     return value if value > 0 else None
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return max(int(raw), 0)
-    except ValueError:
-        return default
 
 
 def _chunk_bounds(n_items: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -164,27 +153,12 @@ def _per_item(values: Sequence[str] | Callable[[T], str] | None,
 
 
 class ParallelExecutor:
-    """Order-preserving map; each chunk is one task-graph node.
+    """Order-preserving map; each chunk is one task-graph node, and
+    ``last_stats`` is the last map's
+    :class:`~repro.graph.scheduler.GraphStats`."""
 
-    ``chunk_timeout_s``, ``max_retries`` and the backoff settings pass
-    to the :class:`~repro.graph.scheduler.GraphScheduler` that runs each
-    map (None defers to its defaults); ``last_stats`` is that
-    scheduler's :class:`~repro.graph.scheduler.GraphStats` for the last
-    map.
-    """
-
-    def __init__(self, n_jobs: int | None = None, *,
-                 chunk_size: int | None = None,
-                 chunk_timeout_s: float | None = None,
-                 max_retries: int | None = None,
-                 backoff_base_s: float = 0.05,
-                 backoff_cap_s: float = 2.0) -> None:
+    def __init__(self, n_jobs: int | None = None) -> None:
         self.n_jobs = resolve_n_jobs(n_jobs)
-        self.chunk_size = chunk_size
-        self.chunk_timeout_s = chunk_timeout_s
-        self.max_retries = max_retries
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
         self.last_stats = None  # the last map's GraphStats
 
     # ------------------------------------------------------------------
@@ -210,24 +184,19 @@ class ParallelExecutor:
         items = list(items)
         labels = _per_item(labels, items, "labels")
         stage_names = _per_item(stage_names, items, "stage names")
-        size = chunk_size or self.chunk_size
-        if size is None:
+        if not chunk_size:
             # a few chunks per worker bounds imbalance without flooding
             # the pool with tiny tasks
             workers = max(min(self.n_jobs, len(items)), 1)
-            size = max(1, math.ceil(len(items) / (4 * workers)))
+            chunk_size = max(1, math.ceil(len(items) / (4 * workers)))
         graph = TaskGraph()
-        for lo, hi in _chunk_bounds(len(items), size):
+        for lo, hi in _chunk_bounds(len(items), chunk_size):
             graph.add(TaskNode(
                 key=f"chunk:{lo:010d}", kind="map-chunk", fn=_run_chunk,
                 args=((fn, items[lo:hi],
                        labels[lo:hi] if labels else None,
                        stage_names[lo:hi] if stage_names else None),)))
-        scheduler = GraphScheduler(
-            self.n_jobs, chunk_timeout_s=self.chunk_timeout_s,
-            max_retries=self.max_retries,
-            backoff_base_s=self.backoff_base_s,
-            backoff_cap_s=self.backoff_cap_s)
+        scheduler = GraphScheduler(self.n_jobs)
         try:
             results = scheduler.run(graph)
         finally:

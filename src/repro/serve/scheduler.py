@@ -20,26 +20,25 @@ minimal under concurrent load:
   the same device list also share a batch.  No timer: a batch forms only
   when waiting is unavoidable, and its size is set by how long the
   running batches take.
-* **Bounded pool** — model work runs via ``loop.run_in_executor`` on a
-  :class:`ModelPool`: a ``ProcessPoolExecutor`` of ``workers`` processes
-  by default, degrading automatically (and permanently: the
-  ``pool_mode`` gauge flips and ``pool_degrades_total`` counts it) to a
-  thread pool when the process pool itself fails, e.g. in sandboxes; a
-  resolver's own exception is its answer.  The event loop itself never
-  executes model code.
+* **Bounded pool** — model work runs on a :class:`ModelPool`: a
+  ``ProcessPoolExecutor`` of ``workers`` processes by default, under the
+  pool engine's failure rule (:mod:`repro.graph.scheduler`): a crashed
+  pool is killed and rebuilt and the call retried, and a call whose
+  retries are spent runs in-process, that call only.  A resolver's own
+  exception is its answer.  The event loop itself never executes model
+  code.
 """
 
 from __future__ import annotations
 
 import asyncio
 import functools
-import pickle
 from collections import OrderedDict, deque
 from concurrent.futures import Executor, ProcessPoolExecutor, \
     ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Mapping, Sequence
 
+from ..graph import scheduler as engine
 from ..perf.cache import content_key
 from .admission import AdmissionController
 from .protocol import ProtocolError
@@ -66,13 +65,12 @@ def _guarded(call: Callable[[], Any]) -> tuple[bool, Any]:
 class ModelPool:
     """Bounded executor for model work, off the event loop.
 
-    ``mode="process"`` gives true parallelism and crash isolation;
-    ``mode="thread"`` is the in-process fallback (numpy releases the GIL
-    for the heavy kernels).  A broken or unavailable process pool, or a
-    call it cannot pickle, flips the mode to ``thread`` transparently and
-    retries the submission; the call's own exception is re-raised.
-    The ``pool_mode``/``pool_workers`` gauges and the
-    ``pool_degrades_total`` counter in ``telemetry`` track the live pool.
+    ``mode="process"`` gives true parallelism and crash isolation, and
+    recovers by the pool engine's rule (:mod:`repro.graph.scheduler`): a
+    pool failure kills the workers (``pool_rebuilds_total``) and the
+    call retries on a new pool; once the retry budget is spent, that one
+    call runs in-process (``pool_inprocess_total``).  ``mode="thread"``
+    runs calls on threads (numpy releases the GIL for the heavy kernels).
     """
 
     def __init__(self, workers: int = 2, mode: str = "process", *,
@@ -87,8 +85,11 @@ class ModelPool:
         self.telemetry.gauge("pool_mode", mode)
         self.telemetry.gauge("pool_workers", workers)
         self._executor: Executor | None = None
+        self._closed = False
 
     def _ensure(self) -> Executor:
+        if self._closed:
+            raise RuntimeError("the model pool is shut down")
         if self._executor is None:
             if self.mode == "process":
                 self._executor = ProcessPoolExecutor(
@@ -99,38 +100,55 @@ class ModelPool:
                     thread_name_prefix="repro-serve-model")
         return self._executor
 
-    def _degrade(self) -> None:
-        old, self._executor = self._executor, None
-        self.mode = "thread"
-        self.telemetry.gauge("pool_mode", self.mode)
-        self.telemetry.inc("pool_degrades_total")
-        if old is not None:
-            old.shutdown(wait=False, cancel_futures=True)
-
-    async def run(self, fn: Callable[..., Any], *args: Any) -> Any:
-        """Execute ``fn(*args)`` in the pool and await its result."""
-        loop = asyncio.get_running_loop()
+    async def run(self, fn: Callable[..., Any], *args: Any,
+                  key: str) -> Any:
+        """Await ``fn(*args)`` run in the pool; ``key`` names the call."""
         call = functools.partial(fn, *args)
-        try:
-            ok, value = await loop.run_in_executor(self._ensure(),
-                                                   _guarded, call)
-        except (BrokenProcessPool, OSError, pickle.PicklingError,
-                TypeError):
-            # the call's own errors come back as values, so this is the
-            # pool failing: broken, no workers, or an unpicklable call
-            if self.mode != "process":
-                raise
-            self._degrade()
-            ok, value = await loop.run_in_executor(self._ensure(),
-                                                   _guarded, call)
+        if self.mode == "thread":
+            ok, value = await asyncio.get_running_loop().run_in_executor(
+                self._ensure(), _guarded, call)
+        else:
+            ok, value = await self._run_remote(call, key)
         if not ok:
             raise value
         return value
 
-    def shutdown(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+    async def _run_remote(self, call: Callable[[], Any],
+                          key: str) -> tuple[bool, Any]:
+        """The call through the engine's worker entry, under fault key
+        ``serve:<key>:<attempt>``.  Its own errors come back as values:
+        what raises is the pool's failure or a call it cannot send."""
+        for failures in range(engine.MAX_RETRIES + 1):
+            if failures:
+                await asyncio.sleep(engine.backoff_s(failures))
+            pool = self._ensure()
+            try:
+                fut = engine.submit_remote(pool, _guarded, call, key,
+                                           f"serve:{key}:{failures}")
+                await asyncio.wrap_future(fut)
+                return engine.remote_value(fut)
+            except engine.POOL_FAILURES:
+                # one crash, one rebuild: a call that failed on a pool
+                # another call already replaced only resubmits
+                if pool is self._executor:
+                    self._executor = None
+                    self.telemetry.inc("pool_rebuilds_total")
+                    # off the loop: the kill joins workers for up to 5 s
+                    await asyncio.to_thread(engine._kill_pool, pool)
+        # the retry budget is spent: this call runs in-process, and the
+        # next one uses the process pool again
+        self.telemetry.inc("pool_inprocess_total")
+        return await asyncio.to_thread(_guarded, call)
+
+    async def shutdown(self) -> None:
+        """Close the pool for good; process workers are killed, so a busy
+        one cannot hold up interpreter exit."""
+        self._closed = True
+        old, self._executor = self._executor, None
+        if isinstance(old, ProcessPoolExecutor):
+            await asyncio.to_thread(engine._kill_pool, old)
+        elif old is not None:
+            old.shutdown(wait=False, cancel_futures=True)
 
 
 class Scheduler:
@@ -237,7 +255,8 @@ class Scheduler:
     async def _run_single(self, kind: str, params: dict[str, Any],
                           key: str, fut: asyncio.Future) -> None:
         try:
-            payload = await self.pool.run(self._resolver, kind, params)
+            payload = await self.pool.run(self._resolver, kind, params,
+                                          key=key)
         except Exception as exc:
             self._complete(kind, key, fut, error=exc)
         else:
@@ -279,7 +298,8 @@ class Scheduler:
         param_sets = [params for _, params, _ in group]
         try:
             payloads = await self.pool.run(
-                self._perf_batch_resolver, param_sets, self.inner_jobs)
+                self._perf_batch_resolver, param_sets, self.inner_jobs,
+                key=group[0][0])
             if len(payloads) != len(group):
                 raise RuntimeError(
                     f"perf batch returned {len(payloads)} answers "

@@ -179,7 +179,7 @@ class CharacterizationService(FrontEnd):
                 raise ProtocolError("rate_limited",
                                     "global rate limit exceeded")
             if not self.admission.allow_model(req.kind):
-                return self._degraded(req, key, trace, "circuit_open",
+                return self._fallback(req, key, trace, "circuit_open",
                                       f"{req.kind} circuit breaker is open")
             fut = self.scheduler.peek(key)
             if fut is not None:
@@ -207,14 +207,14 @@ class CharacterizationService(FrontEnd):
                     # the kind is over deadline: that is breaker signal,
                     # counted once per job, not per coalesced waiter
                     self.admission.record_result(req.kind, ok=False)
-                return self._degraded(
+                return self._fallback(
                     req, key, trace, "deadline_exceeded",
                     f"no answer within {deadline:.3f}s "
                     "(the job continues; retry may hit its cached result)")
         return self._ok(req, payload, served_by, trace)
 
     # ------------------------------------------------------------ replies
-    def _degraded(self, req: Request, key: str, trace: Trace,
+    def _fallback(self, req: Request, key: str, trace: Trace,
                   code: str, message: str) -> Response:
         """Last-good answer marked stale, else the given error."""
         hit, payload = self.scheduler.cached(key)
@@ -277,7 +277,7 @@ class CharacterizationService(FrontEnd):
         await self.scheduler.drain()
 
     async def _release(self) -> None:
-        self.pool.shutdown()
+        await self.pool.shutdown()
 
     async def abort(self) -> None:
         """Abrupt shutdown: reset every connection, skip the drain.
@@ -286,7 +286,8 @@ class CharacterizationService(FrontEnd):
         clients see connection resets mid-query, exactly what the
         router's replay path must absorb.  The event loop may host other
         services and keeps running, so the scheduler's tasks are
-        cancelled too: no model work starts after the kill.
+        cancelled too: no model work starts after the kill, and the
+        pool's busy workers are killed with it.
         """
         server, self._tcp_server = self._tcp_server, None
         if server is not None:
@@ -296,7 +297,7 @@ class CharacterizationService(FrontEnd):
             if transport is not None:
                 transport.abort()
         self.scheduler.cancel()
-        self.pool.shutdown()
+        await self.pool.shutdown()
         if server is not None:
             # after the resets: a server may wait for its connections
             await server.wait_closed()

@@ -2,8 +2,9 @@
 
 ``GraphScheduler.run`` and ``ParallelExecutor.map`` share one pool loop
 (docs/ROBUSTNESS.md): only a broken pool, an ``OSError``, or a round in
-which no node finished in time is retried.  A failed round kills the
-pool's workers, so a hung worker never outlives the run.  Any other
+which no node finished in time is retried, whether the pool failure
+comes back on a future or is raised by ``submit``.  A failed round kills
+the pool's workers, so a hung worker never outlives the run.  Any other
 exception, such as a payload that cannot pickle, kills the pool and
 propagates at once, with no retry and no degrade.
 """
@@ -15,6 +16,8 @@ import signal
 import subprocess
 import sys
 import threading
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -24,14 +27,15 @@ from repro import faults
 from repro.graph import GraphScheduler, TaskGraph, TaskNode
 from repro.perf.executor import ParallelExecutor
 
-#: runs four nodes that sleep 60 s, but only inside pool workers, then
+#: runs four nodes that sleep 60 s, but only inside pool workers, with no
+#: retry round (the round timeout comes from the environment), then
 #: prints the values and the degraded-node count
 _HUNG_WORKERS = '''
 import multiprocessing
 import sys
 import time
 
-from repro.graph import GraphScheduler, TaskGraph, TaskNode
+from repro.graph import GraphScheduler, TaskGraph, TaskNode, scheduler
 from repro.perf.executor import ParallelExecutor
 
 
@@ -42,17 +46,18 @@ def sleep_in_workers(x):
 
 
 if __name__ == "__main__":
+    scheduler.MAX_RETRIES = 0
     if sys.argv[1] == "graph":
         graph = TaskGraph()
         for i in range(4):
             graph.add(TaskNode(key=f"sq:{i}", kind="square",
                                fn=sleep_in_workers, args=(i,)))
-        sched = GraphScheduler(2, chunk_timeout_s=0.3, max_retries=0)
+        sched = GraphScheduler(2)
         out = sched.run(graph)
         values = [out[f"sq:{i}"] for i in range(4)]
         stats = sched.last_stats
     else:
-        ex = ParallelExecutor(2, chunk_timeout_s=0.3, max_retries=0)
+        ex = ParallelExecutor(2)
         values = ex.map(sleep_in_workers, range(4), chunk_size=1)
         stats = ex.last_stats
     print(values, stats.degraded_nodes)
@@ -93,7 +98,8 @@ class TestHungWorkersAreKilled:
         proc = subprocess.Popen(
             [sys.executable, str(script), entry], stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True, start_new_session=True,
-            env={**os.environ, "PYTHONPATH": src})
+            env={**os.environ, "PYTHONPATH": src,
+                 "REPRO_CHUNK_TIMEOUT_S": "0.3"})
         try:
             out, err = proc.communicate(timeout=15)
         except subprocess.TimeoutExpired:
@@ -105,11 +111,11 @@ class TestHungWorkersAreKilled:
         assert proc.returncode == 0, err
         assert out.split("\n")[0] == "[0, 1, 4, 9] 4"
 
-    def test_no_hung_map_worker_outlives_the_map(self):
+    def test_no_hung_map_worker_outlives_the_map(self, pool_rule):
         faults.install_plan("executor.worker_hang=1.0,seed=1")
         before = {p.pid for p in multiprocessing.active_children()}
-        ex = ParallelExecutor(2, chunk_timeout_s=0.3, max_retries=0,
-                              backoff_base_s=0.0)
+        pool_rule(max_retries=0, backoff_base_s=0.0, chunk_timeout_s=0.3)
+        ex = ParallelExecutor(2)
         assert ex.map(_square, range(4), chunk_size=1) == [0, 1, 4, 9]
         assert ex.last_stats.degraded_nodes == 4
         assert _new_children(before) == []
@@ -119,12 +125,13 @@ class TestUnpicklablePayload:
     """Not the pool's failure: raised at once, never retried or run
     serially behind the caller's back."""
 
-    def test_graph_run_raises(self):
+    def test_graph_run_raises(self, pool_rule):
         graph = TaskGraph()
         for i in range(3):
             graph.add(TaskNode(key=f"n:{i}", kind="unit", fn=_identity,
                                args=(threading.Lock(),)))
-        sched = GraphScheduler(2, max_retries=3, backoff_base_s=0.05)
+        pool_rule(max_retries=3, backoff_base_s=0.05)
+        sched = GraphScheduler(2)
         before = {p.pid for p in multiprocessing.active_children()}
         with pytest.raises((TypeError, pickle.PicklingError)):
             sched.run(graph)
@@ -132,8 +139,9 @@ class TestUnpicklablePayload:
         assert sched.last_stats.degraded_nodes == 0
         assert _new_children(before) == []
 
-    def test_map_raises(self):
-        ex = ParallelExecutor(2, max_retries=3, backoff_base_s=0.05)
+    def test_map_raises(self, pool_rule):
+        pool_rule(max_retries=3, backoff_base_s=0.05)
+        ex = ParallelExecutor(2)
         before = {p.pid for p in multiprocessing.active_children()}
         with pytest.raises((TypeError, pickle.PicklingError)):
             ex.map(_identity, [threading.Lock() for _ in range(4)],
@@ -141,3 +149,31 @@ class TestUnpicklablePayload:
         assert ex.last_stats.failed_rounds == 0
         assert ex.last_stats.degraded_nodes == 0
         assert _new_children(before) == []
+
+
+class TestSubmitFailure:
+    def test_broken_pool_at_submit_fails_the_round(self, pool_rule,
+                                                  monkeypatch):
+        """A pool broken by a crash that no future has reported yet
+        raises from ``submit``: that fails the round as a crashed future
+        would, and the run returns the fault-free results."""
+        submit = ProcessPoolExecutor.submit
+        calls = []
+
+        def third_call_breaks(pool, fn, *args, **kwargs):
+            calls.append(fn)
+            if len(calls) == 3:
+                raise BrokenProcessPool("broken before a future said so")
+            return submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", third_call_breaks)
+        pool_rule(max_retries=3, backoff_base_s=0.01)
+        graph = TaskGraph()
+        for i in range(6):
+            graph.add(TaskNode(key=f"sq:{i}", kind="square", fn=_square,
+                               args=(i,)))
+        sched = GraphScheduler(2)
+        assert sched.run(graph) == {f"sq:{i}": i * i for i in range(6)}
+        assert sched.last_stats.failed_rounds == 1
+        assert sched.last_stats.degraded_nodes == 0
+        assert len(calls) > 3  # the rest went to a rebuilt pool

@@ -94,15 +94,16 @@ class _KindPolicy(ConcurrencyPolicy):
 
 
 class TestDeterminism:
-    def test_serial_equals_pooled(self):
+    def test_serial_equals_pooled(self, pool_rule):
         graph = _chain_graph()
         serial = GraphScheduler(1).run(graph)
-        pooled = GraphScheduler(3, max_retries=2,
-                                backoff_base_s=0.01).run(graph)
+        pool_rule(max_retries=2, backoff_base_s=0.01)
+        pooled = GraphScheduler(3).run(graph)
         assert serial == _expected()
         assert pooled == serial
 
-    def test_results_independent_of_insertion_order(self):
+    def test_results_independent_of_insertion_order(self, pool_rule):
+        pool_rule(max_retries=2, backoff_base_s=0.01)
         rng = random.Random(11)
         baseline = None
         for _ in range(4):
@@ -110,8 +111,7 @@ class TestDeterminism:
             rng.shuffle(nodes)
             g = TaskGraph()
             g.extend(nodes)
-            results = GraphScheduler(2, max_retries=2,
-                                     backoff_base_s=0.01).run(g)
+            results = GraphScheduler(2).run(g)
             if baseline is None:
                 baseline = results
             assert results == baseline
@@ -127,23 +127,25 @@ class TestEdgeValues:
     def test_serial_path(self):
         assert GraphScheduler(1).run(fan_in_graph()) == FAN_IN
 
-    def test_pooled_path(self):
-        sched = GraphScheduler(2, max_retries=2, backoff_base_s=0.01)
+    def test_pooled_path(self, pool_rule):
+        pool_rule(max_retries=2, backoff_base_s=0.01)
+        sched = GraphScheduler(2)
         assert sched.run(fan_in_graph()) == FAN_IN
         assert sched.last_stats.workers == 2
 
-    def test_exclusive_path(self):
-        sched = GraphScheduler(2, policy=_KindPolicy({"consume"}),
-                               max_retries=2, backoff_base_s=0.01)
+    def test_exclusive_path(self, pool_rule):
+        pool_rule(max_retries=2, backoff_base_s=0.01)
+        sched = GraphScheduler(2, policy=_KindPolicy({"consume"}))
         assert sched.run(fan_in_graph()) == FAN_IN
         assert sched.last_stats.exclusive_nodes == 1
 
 
 class TestPolicy:
-    def test_exclusive_nodes_run_in_parent_with_correct_results(self):
+    def test_exclusive_nodes_run_in_parent_with_correct_results(
+            self, pool_rule):
         graph = _chain_graph()
-        sched = GraphScheduler(3, policy=_KindPolicy({"tag"}),
-                               max_retries=2, backoff_base_s=0.01)
+        pool_rule(max_retries=2, backoff_base_s=0.01)
+        sched = GraphScheduler(3, policy=_KindPolicy({"tag"}))
         assert sched.run(graph) == _expected()
         assert sched.last_stats.exclusive_nodes == 2
 
@@ -275,10 +277,11 @@ class TestFactsLoading:
 
 
 class TestObservability:
-    def test_stats_and_stage_meta(self):
+    def test_stats_and_stage_meta(self, pool_rule):
         reset_stage_timings()
         graph = _chain_graph(n=6)
-        sched = GraphScheduler(2, max_retries=2, backoff_base_s=0.01)
+        pool_rule(max_retries=2, backoff_base_s=0.01)
+        sched = GraphScheduler(2)
         sched.run(graph)
         stats = sched.last_stats
         assert stats.nodes == 8 and stats.workers == 2
@@ -309,9 +312,10 @@ class TestErrors:
         with pytest.raises(WorkerTaskError, match="bad node 3"):
             GraphScheduler(1).run(g)
 
-    def test_task_error_propagates_pooled(self):
+    def test_task_error_propagates_pooled(self, pool_rule):
         g = _chain_graph(n=4)
         g.add(TaskNode(key="bad", kind="unit", fn=_boom, args=(3,)))
+        pool_rule(max_retries=1, backoff_base_s=0.01)
         with pytest.raises(WorkerTaskError, match="bad node 3"):
-            GraphScheduler(2, max_retries=1, backoff_base_s=0.01).run(g)
+            GraphScheduler(2).run(g)
 

@@ -4,8 +4,9 @@ The contract mirrors the executor's (docs/ROBUSTNESS.md), per node
 instead of per chunk: a crashed or hung pool round never changes the
 assembled results — completed node values are harvested and reused,
 survivors are resubmitted under a new attempt key, and after
-``max_retries`` failed rounds the remainder finishes in-process in
-deterministic topological order.
+``MAX_RETRIES`` failed rounds the remainder finishes in-process in
+deterministic topological order.  Each test sets the retry budget with
+the ``pool_rule`` fixture.
 """
 
 import multiprocessing
@@ -78,31 +79,36 @@ def _expected(n=8):
 
 
 class TestCrashRecovery:
-    def test_fault_plan_crashes_yield_identical_results(self):
+    def test_fault_plan_crashes_yield_identical_results(self, pool_rule):
         """The chaos-CI property: under the executor.worker_crash plan
         (fault keys ``graph:<key>:<attempt>``), retries converge on the
         fault-free answer."""
         faults.install_plan("executor.worker_crash=0.4,seed=3")
-        sched = GraphScheduler(2, max_retries=6, backoff_base_s=0.01)
+        pool_rule(max_retries=6, backoff_base_s=0.01)
+        sched = GraphScheduler(2)
         assert sched.run(_graph(_square)) == _expected()
         # rate 0.4 over 8 nodes with this seed definitely fires
         assert sched.last_stats.failed_rounds >= 1
         assert sched.last_stats.retried_nodes >= 1
 
-    def test_attempt_key_advances_past_deterministic_crash(self):
+    def test_attempt_key_advances_past_deterministic_crash(self,
+                                                           pool_rule):
         """A node whose fault draw crashes at attempt 0 succeeds on a
         retry because the attempt number is part of the fault key."""
         faults.install_plan("executor.worker_crash=0.4,seed=3")
-        sched = GraphScheduler(2, max_retries=6, backoff_base_s=0.01)
+        pool_rule(max_retries=6, backoff_base_s=0.01)
+        sched = GraphScheduler(2)
         results = sched.run(_graph(_square, n=4))
         assert results == _expected(n=4)
 
-    def test_completed_nodes_reused_never_recomputed(self, tmp_path):
+    def test_completed_nodes_reused_never_recomputed(self, tmp_path,
+                                                      pool_rule):
         """A crashed round harvests finished siblings: every node logs
         exactly once, even though the pool was rebuilt mid-run."""
         fn = _CrashOnceNode(tmp_path / "crashed", tmp_path / "log",
                             victim=0)
-        sched = GraphScheduler(2, max_retries=4, backoff_base_s=0.01)
+        pool_rule(max_retries=4, backoff_base_s=0.01)
+        sched = GraphScheduler(2)
         assert sched.run(_graph(fn, n=6)) == _expected(n=6)
         logged = sorted(int(v) for v in
                         (tmp_path / "log").read_text().split())
@@ -114,19 +120,20 @@ class TestCrashRecovery:
 
 
 class TestSerialDegrade:
-    def test_persistent_crashes_degrade_to_serial(self):
+    def test_persistent_crashes_degrade_to_serial(self, pool_rule):
         """Every worker dies on every attempt: the scheduler gives up on
         the pool and finishes all nodes in-process, bit-identically."""
-        sched = GraphScheduler(2, max_retries=1, backoff_base_s=0.01)
+        pool_rule(max_retries=1, backoff_base_s=0.01)
+        sched = GraphScheduler(2)
         assert sched.run(_graph(_crash_in_workers)) == _expected()
         assert sched.last_stats.degraded_nodes == 8
 
-    def test_hang_plan_degrades_to_serial(self):
+    def test_hang_plan_degrades_to_serial(self, pool_rule):
         """Hung nodes time out the round; the degrade path runs in the
         parent where the hang site never fires."""
         faults.install_plan("executor.worker_hang=1.0,seed=1")
-        sched = GraphScheduler(2, chunk_timeout_s=0.4, max_retries=1,
-                               backoff_base_s=0.01)
+        pool_rule(max_retries=1, backoff_base_s=0.01, chunk_timeout_s=0.4)
+        sched = GraphScheduler(2)
         assert sched.run(_graph(_square, n=4)) == _expected(n=4)
         stats = sched.last_stats
         assert stats.failed_rounds >= 1
@@ -137,26 +144,29 @@ class TestEdgeValuesUnderFaults:
     """Dep values reach their consumer in ``deps`` order however many
     pool rounds the run takes."""
 
-    def test_crash_retry_path(self):
+    def test_crash_retry_path(self, pool_rule):
         faults.install_plan("executor.worker_crash=0.5,seed=3")
-        sched = GraphScheduler(2, max_retries=8, backoff_base_s=0.01)
+        pool_rule(max_retries=8, backoff_base_s=0.01)
+        sched = GraphScheduler(2)
         assert sched.run(fan_in_graph()) == FAN_IN
         assert sched.last_stats.retried_nodes >= 1
 
-    def test_degrade_path(self):
-        sched = GraphScheduler(2, max_retries=1, backoff_base_s=0.01)
+    def test_degrade_path(self, pool_rule):
+        pool_rule(max_retries=1, backoff_base_s=0.01)
+        sched = GraphScheduler(2)
         assert sched.run(fan_in_graph(_collect_in_parent)) == FAN_IN
         assert sched.last_stats.degraded_nodes == len(FAN_IN)
 
 
 class TestDeterministicErrors:
-    def test_task_error_is_not_retried(self):
+    def test_task_error_is_not_retried(self, pool_rule):
         """A deterministic exception propagates immediately even under
         an active crash plan — it is not a fault to recover from."""
         faults.install_plan("executor.worker_crash=0.0,seed=1")
         g = _graph(_square, n=3)
         g.add(TaskNode(key="bad", kind="square", fn=_bad, args=(9,)))
-        sched = GraphScheduler(2, max_retries=3, backoff_base_s=0.01)
+        pool_rule(max_retries=3, backoff_base_s=0.01)
+        sched = GraphScheduler(2)
         with pytest.raises(WorkerTaskError, match="bad item 9"):
             sched.run(g)
 

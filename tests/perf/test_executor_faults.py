@@ -70,19 +70,21 @@ def _interrupt_on_two(x):
 
 
 class TestSerialDegrade:
-    def test_serial_fallback_matches_parallel_output(self):
+    def test_serial_fallback_matches_parallel_output(self, pool_rule):
         """Satellite fix: pool failure degrades to serial with identical
         results — every worker dies, every chunk finishes in-process."""
-        ex = ParallelExecutor(2, max_retries=0, backoff_base_s=0.0)
+        pool_rule(max_retries=0, backoff_base_s=0.0)
+        ex = ParallelExecutor(2)
         items = list(range(12))
         out = ex.map(_crash_in_workers, items, chunk_size=3)
         assert out == [x * x for x in items]
         assert ex.last_stats.degraded_nodes == 4
 
-    def test_degrade_runs_only_pending_chunks(self, tmp_path):
+    def test_degrade_runs_only_pending_chunks(self, tmp_path, pool_rule):
         """Completed chunk results are reused, never recomputed."""
         fn = _CrashFirstChunkOnce(tmp_path / "crashed", tmp_path / "log")
-        ex = ParallelExecutor(2, max_retries=3, backoff_base_s=0.01)
+        pool_rule(max_retries=3, backoff_base_s=0.01)
+        ex = ParallelExecutor(2)
         out = ex.map(fn, list(range(8)), chunk_size=4)
         assert out == [x * x for x in range(8)]
         logged = sorted(int(v) for v in
@@ -94,28 +96,30 @@ class TestSerialDegrade:
 
 
 class TestInjectedFaults:
-    def test_crash_plan_output_bit_identical(self):
+    def test_crash_plan_output_bit_identical(self, pool_rule):
         faults.install_plan("executor.worker_crash=0.4,seed=3")
-        ex = ParallelExecutor(3, max_retries=4, backoff_base_s=0.01)
+        pool_rule(max_retries=4, backoff_base_s=0.01)
+        ex = ParallelExecutor(3)
         out = ex.map(math.sqrt, list(range(40)), chunk_size=4)
         serial = [math.sqrt(x) for x in range(40)]
         assert out == serial  # == is bitwise for floats from identical ops
 
-    def test_hang_plan_times_out_and_recovers(self):
+    def test_hang_plan_times_out_and_recovers(self, pool_rule):
         faults.install_plan("executor.worker_hang=1.0,seed=1")
-        ex = ParallelExecutor(2, chunk_timeout_s=0.4, max_retries=1,
-                              backoff_base_s=0.01)
+        pool_rule(max_retries=1, backoff_base_s=0.01, chunk_timeout_s=0.4)
+        ex = ParallelExecutor(2)
         out = ex.map(_square, list(range(8)), chunk_size=2)
         assert out == [x * x for x in range(8)]
         # every pool attempt hung (rate 1.0) => the serial path finished
         assert ex.last_stats.degraded_nodes == 4
         assert ex.last_stats.failed_rounds == 2
 
-    def test_task_error_label_survives_chaos(self):
+    def test_task_error_label_survives_chaos(self, pool_rule):
         """A deterministic task failure names its item even when pool
         crashes and retries happen around it."""
         faults.install_plan("executor.worker_crash=0.3,seed=9")
-        ex = ParallelExecutor(2, max_retries=3, backoff_base_s=0.01)
+        pool_rule(max_retries=3, backoff_base_s=0.01)
+        ex = ParallelExecutor(2)
         with pytest.raises(WorkerTaskError) as info:
             ex.map(_raise_on_three, list(range(8)), chunk_size=2,
                    labels=[f"item-{i}" for i in range(8)])
@@ -124,10 +128,11 @@ class TestInjectedFaults:
 
 
 class TestInterrupt:
-    def test_keyboard_interrupt_cancels_cleanly(self):
+    def test_keyboard_interrupt_cancels_cleanly(self, pool_rule):
         before = {id(p) for p in multiprocessing.active_children()
                   if p.is_alive()}
-        ex = ParallelExecutor(2, backoff_base_s=0.01)
+        pool_rule(backoff_base_s=0.01)
+        ex = ParallelExecutor(2)
         with pytest.raises(KeyboardInterrupt, match="cancelled pending"):
             ex.map(_interrupt_on_two, list(range(8)), chunk_size=2)
         deadline = time.monotonic() + 10
