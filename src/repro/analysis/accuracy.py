@@ -29,14 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..gpu.device import Device
+from ..graph import GraphScheduler, TaskGraph, TaskNode
+from ..kernels import all_workloads
 from ..kernels.base import Workload
 from ..perf.cache import content_key, default_cache, package_source_token
-from ..perf.executor import ParallelExecutor
 from ..perf.instrument import stage
 
 
 __all__ = ["AUDIT_SEED", "ErrorEntry", "error_metrics", "accuracy_table",
-           "accuracy_tables"]
+           "accuracy_nodes", "accuracy_tables"]
 
 #: the fixed dataset seed of the Table 6 audit — shared with the
 #: observation graph's dataset-gen nodes so they warm the exact
@@ -146,24 +147,72 @@ def accuracy_table(workload: Workload, device: Device,
             lambda: _accuracy_table_uncached(workload, device, seed))
 
 
-def _audit_one(workload: Workload, device: Device,
-               seed: int) -> list[ErrorEntry]:
+def _node_dataset(workload: Workload, seed: int) -> str:
+    """Dataset-gen node: warm one workload's generator cache entry.
+
+    Runs the exact ``prepare`` call the audit will issue (same
+    representative case, same seed), so the disk-backed generator cache
+    is hot by the time the downstream accuracy node — or a sibling
+    running concurrently on another workload — needs it.  The node's
+    value is just the workload name: the real product is the cache
+    entry, which crosses the process boundary on disk."""
+    workload.prepare(workload.exec_case(workload.representative_case()),
+                     seed=seed)
+    return workload.name
+
+
+def _node_accuracy(workload: Workload, device: Device, seed: int,
+                   *_warmed: str) -> list[ErrorEntry]:
+    """Accuracy-audit node: one workload's Table 6 rows, its value on
+    the graph's edges.  An input (the ``dataset:`` node's value) only
+    orders it after the warm-up."""
     return accuracy_table(workload, device, seed)
+
+
+def accuracy_nodes(workloads: list[Workload] | None = None,
+                   device: Device | None = None,
+                   seed: int = AUDIT_SEED) -> list[TaskNode]:
+    """The Table 6 audit as graph nodes: one ``accuracy:<name>`` node per
+    floating-point workload, whose value is that workload's rows.
+
+    ``None`` for both is the default suite on the H200, where each
+    accuracy node depends on a ``dataset:<name>`` warm-up node, so
+    dataset generation for one workload overlaps the audit of another.
+    Explicit lists skip the warm-up (their identity is not reliably
+    keyable for the shared caches).  Nodes carry the workload objects,
+    settings included; a repeated name keeps its first workload.
+    """
+    warm = workloads is None and device is None
+    device = Device("H200") if device is None else device
+    nodes: dict[str, TaskNode] = {}
+    for w in all_workloads() if workloads is None else workloads:
+        key = f"accuracy:{w.name}"
+        if not w.floating_point or key in nodes:
+            continue
+        deps: tuple[str, ...] = ()
+        if warm:
+            deps = (f"dataset:{w.name}",)
+            nodes[deps[0]] = TaskNode(
+                key=deps[0], kind="dataset-gen", fn=_node_dataset,
+                args=(w, seed), label=f"dataset {w.name}")
+        nodes[key] = TaskNode(key=key, kind="accuracy-audit",
+                              fn=_node_accuracy, args=(w, device, seed),
+                              deps=deps, label=f"accuracy {w.name}")
+    return list(nodes.values())
 
 
 def accuracy_tables(workloads, device: Device, seed: int = AUDIT_SEED, *,
                     n_jobs: int | None = None
                     ) -> dict[str, list[ErrorEntry]]:
-    """The whole Table 6 audit, fanned out per floating-point workload.
+    """The whole Table 6 audit: :func:`accuracy_nodes` run as one graph
+    on the :class:`~repro.graph.GraphScheduler`.
 
-    Non-floating-point workloads are skipped (the paper excludes them).
-    Each workload runs under a ``accuracy.audit:<name>`` stage, so the
-    profiler attributes the audit per workload even across a process-pool
-    fan-out; results are returned keyed by workload name.
+    Non-floating-point workloads are skipped (the paper excludes them);
+    results are returned keyed by workload name, in suite order.
     """
-    fp = [w for w in workloads if w.floating_point]
-    tables = ParallelExecutor(n_jobs).starmap(
-        _audit_one, [(w, device, seed) for w in fp], chunk_size=1,
-        labels=[f"accuracy {w.name}" for w in fp],
-        stage_names=[f"accuracy.audit:{w.name}" for w in fp])
-    return {w.name: t for w, t in zip(fp, tables)}
+    workloads = list(workloads)
+    graph = TaskGraph()
+    graph.extend(accuracy_nodes(workloads, device, seed))
+    results = GraphScheduler(n_jobs).run(graph)
+    return {w.name: results[f"accuracy:{w.name}"] for w in workloads
+            if w.floating_point}

@@ -18,10 +18,10 @@ from ..gpu.device import Device
 from ..graph import GraphScheduler, TaskGraph, TaskNode
 from ..kernels.base import (Quadrant, Variant, Workload, install_stats,
                             stats_node)
-from ..kernels import all_workloads, get_workload
+from ..kernels import all_workloads
 from ..perf.cache import content_key, default_cache, package_source_token
 from ..perf.instrument import stage
-from .accuracy import AUDIT_SEED, accuracy_table, accuracy_tables
+from .accuracy import ErrorEntry, accuracy_nodes
 from .edp import edp_study, quadrant_geomeans
 from .quadrants import classify
 
@@ -153,16 +153,15 @@ def observation_6(workloads, devices) -> ObservationResult:
                              "quadrants", holds, evidence)
 
 
-def observation_7(workloads, devices) -> ObservationResult:
+def observation_7(workloads, devices,
+                  tables: dict[str, list[ErrorEntry]]) -> ObservationResult:
     """O7: TC and CC are numerically identical; the *transformations*
-    (CC-E, baselines) change rounding."""
-    h200 = next(d for d in devices if d.spec.name == "H200")
+    (CC-E, baselines) change rounding.  ``tables`` holds each
+    floating-point workload's Table 6 rows on the H200, by name — the
+    values of the graph's accuracy nodes."""
     evidence = {}
     holds = True
     deviates = 0
-    # one batched audit call: per-workload tables fan out through the
-    # executor (and hit the result cache individually) instead of looping
-    tables = accuracy_tables(workloads, h200)
     for w in workloads:
         if not w.floating_point:
             continue
@@ -268,8 +267,8 @@ def _run_observation(task: tuple[int, list[Workload] | None,
     analytic observations they are the case stats of
     :func:`_stats_inputs`, installed into this process's memo before the
     observation evaluates, so no worker recomputes what a stats node
-    produced.  O7's inputs (the accuracy tables) only order it after the
-    audit; it replays those tables from the result cache.
+    produced.  O7's inputs are the accuracy nodes' Table 6 rows, one per
+    floating-point workload, which it evaluates from directly.
 
     Default-suite verdicts are content-address cached: every input is
     fixed-seed deterministic and the key carries the whole package source
@@ -282,13 +281,17 @@ def _run_observation(task: tuple[int, list[Workload] | None,
         workloads = all_workloads()
     if devices is None:
         devices = [Device("A100"), Device("H200"), Device("B200")]
+    args: tuple = (workloads, devices)
+    if idx + 1 in _FUNCTIONAL:
+        audited = [w for w in workloads if w.floating_point]
+        args += ({w.name: rows for w, rows in zip(audited, inputs)},)
     for (w, index), stats in zip(_stats_inputs(idx + 1, workloads), inputs):
         install_stats(w, index, stats)
     if not default_suite:
-        return OBSERVATIONS[idx](workloads, devices)
+        return OBSERVATIONS[idx](*args)
     return default_cache().get_or_compute(
         "observation", _verdict_key(idx),
-        lambda: OBSERVATIONS[idx](workloads, devices))
+        lambda: OBSERVATIONS[idx](*args))
 
 
 def _cached_verdicts() -> dict[int, ObservationResult]:
@@ -302,29 +305,13 @@ def _cached_verdicts() -> dict[int, ObservationResult]:
     return done
 
 
-def _node_dataset(name: str) -> str:
-    """Dataset-gen node: warm one workload's generator cache entry.
-
-    Runs the exact ``prepare`` call the Table 6 audit will issue (same
-    representative case, same :data:`AUDIT_SEED`), so the disk-backed
-    generator cache is hot by the time the downstream accuracy node — or
-    a sibling running concurrently on another workload — needs it.  The
-    node's value is just the workload name: the real product is the
-    cache entry, which crosses the process boundary on disk."""
-    w = get_workload(name)
-    w.prepare(w.exec_case(w.representative_case()), seed=AUDIT_SEED)
-    return name
-
-
-def _node_accuracy(name: str, *_warmed: str) -> list:
-    """Accuracy-audit node: one workload's Table 6 rows on the H200.
-
-    Its input, the ``dataset:`` node's value, only orders it after the
-    warm-up.  Content-address cached inside :func:`accuracy_table`, so
-    the O7 node downstream (which calls ``accuracy_tables`` over the
-    whole suite) replays these rows from the cache instead of
-    recomputing them."""
-    return accuracy_table(get_workload(name), Device("H200"))
+def _audit_device(devices: list[Device] | None) -> Device:
+    """The H200 of an explicit device list, which O7 audits on."""
+    for d in devices or [Device("H200")]:
+        if d.spec.name == "H200":
+            return d
+    raise ValueError("observation 7 audits accuracy on the H200; the "
+                     "device list has none")
 
 
 def build_observations_graph(workloads: list[Workload] | None = None,
@@ -338,13 +325,13 @@ def build_observations_graph(workloads: list[Workload] | None = None,
     on the stats nodes they read (every case for O3-O5, the
     representative case otherwise) and receive their values as inputs.
 
-    For the default suite the functional audit over-decomposes too: per
-    floating-point workload a ``dataset:<name>`` node feeds an
-    ``accuracy:<name>`` node, and O7 depends on every accuracy node.
-    Dataset generation for workload B therefore overlaps the accuracy
-    audit of workload A *and* the analytic stats of both.  Explicit
-    workload/device lists skip that warm-up spine (their identity is not
-    reliably keyable for the shared caches).
+    The functional audit over-decomposes too: O7 depends on one
+    ``accuracy:<name>`` node per floating-point workload
+    (:func:`~repro.analysis.accuracy.accuracy_nodes`) and receives their
+    rows as inputs.  For the default suite each accuracy node is fed by a
+    ``dataset:<name>`` warm-up node, so dataset generation for workload B
+    overlaps the accuracy audit of workload A *and* the analytic stats of
+    both; explicit lists audit on their own H200 without the warm-up.
 
     ``numbers`` limits the graph to those observations and the nodes
     they read (default: all nine).
@@ -356,19 +343,11 @@ def build_observations_graph(workloads: list[Workload] | None = None,
     g = TaskGraph()
     for number in sorted(numbers):
         deps: list[str] = []
-        if number in _FUNCTIONAL and default_suite:
-            for w in suite:
-                if not w.floating_point:
-                    continue
-                g.add(TaskNode(key=f"dataset:{w.name}", kind="dataset-gen",
-                               fn=_node_dataset, args=(w.name,),
-                               label=f"dataset {w.name}"))
-                g.add(TaskNode(key=f"accuracy:{w.name}",
-                               kind="accuracy-audit",
-                               fn=_node_accuracy, args=(w.name,),
-                               deps=(f"dataset:{w.name}",),
-                               label=f"accuracy {w.name}"))
-                deps.append(f"accuracy:{w.name}")
+        if number in _FUNCTIONAL:
+            g.extend(accuracy_nodes() if default_suite
+                     else accuracy_nodes(suite, _audit_device(devices)))
+            deps.extend(f"accuracy:{w.name}" for w in suite
+                        if w.floating_point)
         for w, index in _stats_inputs(number, suite):
             node = stats_node(w, index)
             if node.key not in g:

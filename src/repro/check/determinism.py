@@ -35,13 +35,6 @@ rebound via ``global`` statements).
   differ from a recomputation, voiding the cache's bit-identity contract.
 * ``D002`` serve-payload-taint — a ``serve/queries.py`` resolver reaches
   a source: a served answer could differ from the direct invocation.
-* ``D003`` dispatch-mutable-state — a function dispatched through
-  :class:`~repro.perf.executor.ParallelExecutor` reads a module global
-  that is rebound elsewhere: worker processes see a fork-time snapshot,
-  so serial and parallel runs can diverge.
-* ``D004`` dispatch-picklable — a dispatched callable is a lambda,
-  nested function, or bound method: not top-level picklable, so the pool
-  path dies (or silently degrades) where the serial path works.
 * ``D005`` key-env-read — a content-key constructor reads an environment
   variable that is not part of the key: two processes with different
   environments share one cache entry (the exact gap delta-invalidation
@@ -52,7 +45,11 @@ rebound via ``global`` statements).
   callable transitively reads unkeyed ambient state (env/file/global):
   the graph scheduler may run it concurrently with writers of that
   state, so either the read is folded into the node's arguments or the
-  concurrency policy serializes the node.
+  concurrency policy serializes the node.  Every parallel call site is
+  a task graph, so this is also the check that a pool worker's
+  fork-time snapshot of a mutated global cannot make serial and
+  parallel runs diverge; ``TaskGraph.add`` rejects lambdas, nested
+  functions and bound methods whenever a graph is built.
 
 Propagation is a fixpoint over the :class:`~repro.check.dataflow.
 PackageGraph` call graph.  Calls into the measurement/fault/scheduling
@@ -64,7 +61,7 @@ Findings carry a witness chain (``f -> g -> time.perf_counter``) naming
 the path by which the taint reaches the sink.
 
 The computed facts — per-function purity, content-key sites and their
-ambient reads, cache/serve/pool sink verdicts — export as a
+ambient reads, cache/serve/graph-node sink verdicts — export as a
 machine-readable ``determinism_facts.json`` whose bytes depend only on
 package sources, so CI asserts two consecutive exports compare equal.
 """
@@ -139,8 +136,6 @@ class _Facts:
         default_factory=list)
     #: resolved package callees as (fid, call line)
     callees: list[tuple[str, int]] = field(default_factory=list)
-    #: ParallelExecutor dispatch sites: (line, kind, fn expr node)
-    dispatches: list[tuple[int, str, ast.expr]] = field(default_factory=list)
     #: get_or_compute sites: (line, compute expr node or None)
     cache_stores: list[tuple[int, ast.expr | None]] = field(
         default_factory=list)
@@ -202,9 +197,8 @@ def _scan_function(graph: PackageGraph, minfo: ModuleInfo,
     nodes = list(iter_scope(finfo.node))
     wrapped = _sorted_wrapped(nodes)
 
-    # set-typed and executor-typed local names (forward pass over assigns)
+    # set-typed local names (forward pass over assigns)
     set_names: set[str] = set()
-    executor_names: set[str] = set()
     for n in nodes:
         targets: list[ast.expr] = []
         value: ast.expr | None = None
@@ -219,11 +213,6 @@ def _scan_function(graph: PackageGraph, minfo: ModuleInfo,
                 continue
             if _set_typed(value, set_names):
                 set_names.add(t.id)
-            for sub in ast.walk(value):
-                if isinstance(sub, ast.Call) \
-                        and isinstance(sub.func, ast.Name) \
-                        and sub.func.id == "ParallelExecutor":
-                    executor_names.add(t.id)
 
     for n in nodes:
         # --- sources and ambient reads -------------------------------
@@ -290,24 +279,9 @@ def _scan_function(graph: PackageGraph, minfo: ModuleInfo,
         if not isinstance(n, ast.Call):
             continue
         func = n.func
-        if isinstance(func, ast.Attribute):
-            if func.attr == "get_or_compute":
-                compute = n.args[2] if len(n.args) >= 3 else None
-                facts.cache_stores.append((n.lineno, compute))
-            elif func.attr in ("map", "starmap") and n.args:
-                recv = func.value
-                dispatched = (isinstance(recv, ast.Name)
-                              and recv.id in executor_names)
-                if not dispatched and isinstance(recv, ast.Call):
-                    for sub in ast.walk(recv):
-                        if isinstance(sub, ast.Call) \
-                                and isinstance(sub.func, ast.Name) \
-                                and sub.func.id == "ParallelExecutor":
-                            dispatched = True
-                            break
-                if dispatched:
-                    facts.dispatches.append((n.lineno, func.attr,
-                                             n.args[0]))
+        if isinstance(func, ast.Attribute) and func.attr == "get_or_compute":
+            compute = n.args[2] if len(n.args) >= 3 else None
+            facts.cache_stores.append((n.lineno, compute))
         full = resolve_dotted(func, imports)
         if full is not None and (full == "content_key"
                                  or full.endswith(".content_key")):
@@ -329,12 +303,8 @@ def _scan_function(graph: PackageGraph, minfo: ModuleInfo,
                 continue
             facts.callees.append((callee.fid, n.lineno))
 
-    # dispatched callables and compute closures are edges too: the value
-    # they produce flows back to the dispatch/store site
-    for line, _, fn_expr in facts.dispatches:
-        target = _resolve_callable(graph, minfo, finfo, fn_expr)
-        if target is not None and not _is_barrier(target.module):
-            facts.callees.append((target.fid, line))
+    # compute closures and node callables are edges too: the value they
+    # produce flows back to the store/node site
     for line, compute in facts.cache_stores:
         if compute is not None:
             target = _resolve_callable(graph, minfo, finfo, compute)
@@ -358,8 +328,8 @@ def _resolve_callable(graph: PackageGraph, minfo: ModuleInfo,
                 return info
         return None
     if isinstance(expr, ast.Call):
-        # functools.partial(f, ...) and _Star(f)-style adapters: resolve
-        # the first argument when the call wraps another callable
+        # functools.partial(f, ...): resolve the first argument when the
+        # call wraps another callable
         full = resolve_dotted(expr.func, minfo.imports)
         if full is not None and full.endswith("partial") and expr.args:
             return _resolve_callable(graph, minfo, finfo, expr.args[0])
@@ -489,7 +459,6 @@ def analyze_package(root: str | Path | None = None, *,
     findings = report.findings
     fact_cache: list[dict] = []
     fact_serve: list[dict] = []
-    fact_pool: list[dict] = []
     fact_keys: list[dict] = []
     fact_graph: list[dict] = []
 
@@ -519,43 +488,6 @@ def analyze_package(root: str | Path | None = None, *,
                             f"{_witness(taint, target.fid, kind)}; a "
                             "cached entry and a recomputation could "
                             "differ, voiding the bit-identity contract"))
-
-        # D003/D004: ParallelExecutor dispatch purity
-        if not f.info.module.startswith("perf/"):
-            for line, how, fn_expr in f.dispatches:
-                target = _resolve_callable(graph, minfo, f.info, fn_expr)
-                problem = _dispatch_problem(graph, minfo, f.info,
-                                            fn_expr, target)
-                mutable = [] if target is None else \
-                    _closed_over_mutable(graph, target)
-                fact_pool.append({
-                    "module": f.info.module, "function": f.info.qualname,
-                    "line": line, "via": how,
-                    "target": target.fid if target else
-                    ast.unparse(fn_expr)[:60],
-                    "picklable": problem is None,
-                    "mutable_globals": mutable,
-                })
-                if problem is not None:
-                    findings.append(Finding(
-                        rule="D004", severity="error",
-                        path=f.info.module, symbol=f.info.qualname,
-                        line=line,
-                        message=f"function dispatched through "
-                                f"ParallelExecutor.{how} is {problem}; "
-                                "workers need a top-level picklable "
-                                "callable, or the pool path dies where "
-                                "the serial path works"))
-                if mutable:
-                    findings.append(Finding(
-                        rule="D003", severity="error",
-                        path=f.info.module, symbol=f.info.qualname,
-                        line=line,
-                        message=f"dispatched function {target.qualname} "
-                                f"reads mutable module state "
-                                f"{', '.join(mutable)}; worker processes "
-                                "see a fork-time snapshot, so serial and "
-                                "parallel runs can diverge"))
 
         # R009: task-graph node callables must be safe to run concurrently
         for line, node_fn in f.graph_nodes:
@@ -636,59 +568,15 @@ def analyze_package(root: str | Path | None = None, *,
                                   fd.symbol))
     report.facts = export_facts(graph, all_facts, taint,
                                 cache=fact_cache, serve=fact_serve,
-                                pool=fact_pool, keys=fact_keys,
-                                graph_nodes=fact_graph)
+                                keys=fact_keys, graph_nodes=fact_graph)
     return report
-
-
-def _dispatch_problem(graph: PackageGraph, minfo: ModuleInfo,
-                      finfo: FunctionInfo, fn_expr: ast.expr,
-                      target: FunctionInfo | None) -> str | None:
-    """Why a dispatched callable is not top-level picklable, or None."""
-    if isinstance(fn_expr, ast.Lambda):
-        return "a lambda"
-    if isinstance(fn_expr, ast.Attribute):
-        if isinstance(fn_expr.value, ast.Name) \
-                and fn_expr.value.id in ("self", "cls"):
-            return "a bound method"
-        dotted = resolve_dotted(fn_expr, minfo.imports)
-        if dotted is None or graph.resolve_symbol(
-                minfo.relpath, dotted) is None:
-            # unknown attribute of a local object: assume bound method
-            root = fn_expr.value
-            if isinstance(root, ast.Name) and root.id not in minfo.imports:
-                return "a bound method"
-        return None
-    if isinstance(fn_expr, ast.Name):
-        local = minfo.local_defs.get(finfo.qualname, {})
-        if fn_expr.id in local:
-            return "a nested function"
-        return None
-    if target is not None and "." in target.qualname \
-            and "<lambda" not in target.qualname:
-        return "a nested function"
-    return None
-
-
-def _closed_over_mutable(graph: PackageGraph,
-                         target: FunctionInfo) -> list[str]:
-    """Mutated module globals a dispatched function reads directly."""
-    minfo = graph.modules.get(target.module)
-    if minfo is None or not minfo.mutated_globals:
-        return []
-    hits: set[str] = set()
-    for n in iter_scope(target.node):
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) \
-                and n.id in minfo.mutated_globals:
-            hits.add(n.id)
-    return sorted(hits)
 
 
 # ------------------------------------------------------------------- facts
 
 def export_facts(graph: PackageGraph, all_facts: dict[str, _Facts],
                  taint, *, cache: list[dict], serve: list[dict],
-                 pool: list[dict], keys: list[dict],
+                 keys: list[dict],
                  graph_nodes: list[dict] | None = None) -> dict:
     """The machine-readable artifact (``determinism_facts.json``).
 
@@ -700,6 +588,8 @@ def export_facts(graph: PackageGraph, all_facts: dict[str, _Facts],
     ConcurrencyPolicy` (version 2: each purity entry's ``ambient`` list
     names the unkeyed env/file/global inputs reachable from the
     function — the facts that decide a node's concurrency eligibility).
+    Every fan-out is a task graph, so ``graph_nodes`` lists everything a
+    pool worker runs.
     """
     purity: dict[str, dict] = {}
     for fid in sorted(all_facts):
@@ -728,8 +618,6 @@ def export_facts(graph: PackageGraph, all_facts: dict[str, _Facts],
         "cache_values": sorted(
             cache, key=lambda e: (e["module"], e["line"])),
         "serve_payloads": sorted(serve, key=lambda e: e["function"]),
-        "pool_dispatch": sorted(
-            pool, key=lambda e: (e["module"], e["line"])),
         "content_keys": sorted(
             keys, key=lambda e: (e["module"], e["function"])),
         "graph_nodes": sorted(

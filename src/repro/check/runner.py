@@ -3,17 +3,18 @@
 :func:`run_check` is the engine behind ``repro check`` and the CI ``check``
 job: it lints the ``repro`` package (R00x rules), verifies the Workload
 contracts and the TC/CC MMA call graph (R004-R006), optionally runs the
-interprocedural determinism proof engine (D001-D006 plus the
-``determinism_facts.json`` artifact), runs the dynamic warp-hazard battery
-(H00x rules), folds the checked-in baseline in, and returns a
-:class:`CheckReport` that renders to text or JSON.
+interprocedural determinism proof engine (D001/D002, D005/D006 and R009,
+plus the ``determinism_facts.json`` artifact), runs the dynamic
+warp-hazard battery (H00x rules), folds the checked-in baseline in, and
+returns a :class:`CheckReport` that renders to text or JSON.
 
-Per-file lint parses independently, so it fans out through
-:class:`~repro.perf.executor.ParallelExecutor` (``repro check --jobs N``);
-results merge in (path, line, rule, symbol) order and dedupe on
-(rule, path, line, symbol), so check output is bit-stable regardless of
-job count — the same serial==parallel contract the executor gives every
-other subsystem.
+Per-file lint parses independently, so each module is one ``lint:<path>``
+node of a task graph (``repro check --jobs N`` runs it on N processes).
+This process reads every file and passes its text in, so a node reads no
+file itself.  Results merge in (path, line, rule, symbol) order and
+dedupe on (rule, path, line, symbol), so check output is bit-stable
+regardless of job count — the same serial==parallel contract the graph
+scheduler gives every other subsystem.
 
 Exit-code contract: the check *fails* (``report.ok is False``) iff any
 error-severity finding is not covered by the baseline.  Warnings are
@@ -30,7 +31,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..perf.executor import ParallelExecutor
+from ..graph import GraphScheduler, TaskGraph, TaskNode
 from .contracts import contract_findings
 from .determinism import analyze_package
 from .dynamic import run_dynamic
@@ -58,12 +59,10 @@ def default_baseline_path() -> Path:
     return package_root().parents[1] / "check_baseline.json"
 
 
-def _check_file(task: tuple[str, str]) -> list[Finding]:
-    """Static findings of one module: lint rules plus (for kernels/)
-    the contract rules.  Module-level and picklable — this is the
-    function ``--jobs`` dispatches through the process pool."""
-    root_str, relpath = task
-    source = (Path(root_str) / relpath).read_text()
+def _check_file(relpath: str, source: str) -> list[Finding]:
+    """Static findings of one module's ``source``: lint rules plus (for
+    kernels/) the contract rules.  The ``lint:<relpath>`` node
+    callable."""
     findings = lint_source(source, relpath)
     if relpath.startswith("kernels/") and relpath != "kernels/base.py" \
             and "/" not in relpath[len("kernels/"):]:
@@ -77,17 +76,20 @@ def _check_file(task: tuple[str, str]) -> list[Finding]:
 
 
 def _static_findings(root: Path, n_jobs: int | None) -> list[Finding]:
-    """Lint + contracts over every module, optionally through the pool.
+    """Lint + contracts over every module, one graph node per module.
 
     Findings merge in deterministic (path, line, rule, symbol) order and
     are deduped, so output is identical for any job count.
     """
-    tasks = [(str(root), p.relative_to(root).as_posix())
-             for p in sorted(root.rglob("*.py"))]
-    per_file = ParallelExecutor(n_jobs or 1).map(
-        _check_file, tasks, labels=[t[1] for t in tasks],
-        stage_names=[f"check/{t[1]}" for t in tasks])
-    findings = [f for fs in per_file for f in fs]
+    graph = TaskGraph()
+    for path in sorted(root.rglob("*.py")):
+        relpath = path.relative_to(root).as_posix()
+        graph.add(TaskNode(key=f"lint:{relpath}", kind="lint",
+                           fn=_check_file,
+                           args=(relpath, path.read_text(encoding="utf-8")),
+                           label=relpath))
+    per_file = GraphScheduler(n_jobs or 1).run(graph)
+    findings = [f for node in graph for f in per_file[node.key]]
     findings.sort(key=lambda f: (f.path, f.line or 0, f.rule, f.symbol))
     return dedupe_findings(findings)
 
@@ -180,9 +182,8 @@ def run_check(root: str | Path | None = None,
     one); ``baseline`` is a :class:`Baseline`, a path, or None for the
     checked-in default.  ``workloads`` restricts the dynamic battery.
     ``determinism`` adds the interprocedural D-rule layer and populates
-    ``report.facts``.  ``n_jobs`` fans per-file static analysis out
-    through :class:`~repro.perf.executor.ParallelExecutor` (None/1 =
-    serial in-process).
+    ``report.facts``.  ``n_jobs`` runs the per-file static analysis
+    graph on that many processes (None/1 = serial in-process).
     """
     root = package_root() if root is None else Path(root)
     if baseline is None:

@@ -700,8 +700,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the warp-hazard battery")
     p.add_argument("--determinism", action="store_true",
                    help="run the interprocedural taint engine "
-                        "(D001-D006: cache/serve value purity, pool "
-                        "dispatch purity, content-key completeness)")
+                        "(D001/D002: cache/serve value purity, "
+                        "D005/D006: content-key completeness, R009: "
+                        "graph node ambient reads)")
     p.add_argument("--facts", default=None, metavar="PATH",
                    help="write determinism_facts.json here "
                         "(implies --determinism)")
@@ -982,10 +983,9 @@ def main(argv: list[str] | None = None) -> int:
             pass
     args = build_parser().parse_args(argv)
     # an explicit --jobs wins everywhere: exporting it as REPRO_JOBS makes
-    # every scheduler and executor constructed deeper in the call stack
-    # (graph scheduler, maps, bench subprocesses) resolve to the same
-    # width instead of falling back to the CPU count; fan-outs inside a
-    # pool worker still run in-process
+    # every scheduler constructed deeper in the call stack (graph
+    # scheduler, bench subprocesses) resolve to the same width instead of
+    # falling back to the CPU count
     if getattr(args, "jobs", None) is not None:
         os.environ["REPRO_JOBS"] = str(args.jobs)
     try:

@@ -8,12 +8,11 @@ blockiness — from a fixed set of generator families swept over wide
 parameter ranges.  The default population sizes match the paper; pass a
 smaller ``count`` for quick runs.
 
-Generation is split into two phases so it can fan out without perturbing
-determinism: a serial *draw* phase consumes the shared LCG stream in
-exactly the original order and produces raw COO arrays, and a pure *build*
-phase (CSR construction / edge filtering, the expensive part) maps batches
-through a :class:`~repro.perf.executor.ParallelExecutor`.  The yielded
-sequence is bit-identical for any ``n_jobs``.
+Each item is made in two phases: a *draw* consumes the shared LCG stream
+and produces raw arrays, and a pure *build* (CSR construction / edge
+filtering) turns them into the yielded item, in-process, right after its
+draw.  The build consumes no randomness, so the yielded sequence depends
+only on the draw order (pinned by digests in the test suite).
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from ..perf.executor import ParallelExecutor
 from ..perf.instrument import stage
 from ..sparse.csr import CsrMatrix
 from .synthetic import Lcg
@@ -30,9 +28,6 @@ from .synthetic import Lcg
 __all__ = ["matrix_population", "graph_population"]
 
 _FAMILY_COUNT = 6
-
-#: draws buffered between executor fan-outs (bounds peak COO memory)
-_POPULATION_BATCH = 64
 
 _CooDraw = tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]
 
@@ -95,26 +90,17 @@ def _build_csr(draw: _CooDraw) -> CsrMatrix:
 
 
 def matrix_population(count: int = 2893, seed: int = 1325,
-                      max_rows: int = 2048, *, n_jobs: int | None = None
-                      ) -> Iterator[CsrMatrix]:
+                      max_rows: int = 2048) -> Iterator[CsrMatrix]:
     """Yield ``count`` small matrices sweeping the structural axes."""
     rng = Lcg(seed)
-    ex = ParallelExecutor(n_jobs)
-    batch: list[_CooDraw] = []
     for i in range(count):
         family = _MATRIX_FAMILIES[i % len(_MATRIX_FAMILIES)]
         n = int(rng.integers(1, 64, max_rows)[0])
         per_row = int(rng.integers(1, 2, 33)[0])
-        batch.append(family(n, per_row, rng))
-        if len(batch) >= _POPULATION_BATCH:
-            with stage("datasets.matrix_population"):
-                built = ex.map(_build_csr, batch)
-            yield from built
-            batch = []
-    if batch:
+        draw = family(n, per_row, rng)
         with stage("datasets.matrix_population"):
-            built = ex.map(_build_csr, batch)
-        yield from built
+            built = _build_csr(draw)
+        yield built
 
 
 _GraphDraw = tuple[np.ndarray, np.ndarray, int]
@@ -175,21 +161,13 @@ def _draw_graph(i: int, rng: Lcg, max_vertices: int) -> _GraphDraw:
 
 
 def graph_population(count: int = 499, seed: int = 1325,
-                     max_vertices: int = 4096, *, n_jobs: int | None = None
+                     max_vertices: int = 4096
                      ) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
     """Yield ``count`` small graphs as (src, dst, n) triplets, alternating
     uniform, power-law, grid-like, and community-structured families."""
     rng = Lcg(seed)
-    ex = ParallelExecutor(n_jobs)
-    batch: list[_GraphDraw] = []
     for i in range(count):
-        batch.append(_draw_graph(i, rng, max_vertices))
-        if len(batch) >= _POPULATION_BATCH:
-            with stage("datasets.graph_population"):
-                built = ex.map(_finish_graph, batch)
-            yield from built
-            batch = []
-    if batch:
+        draw = _draw_graph(i, rng, max_vertices)
         with stage("datasets.graph_population"):
-            built = ex.map(_finish_graph, batch)
-        yield from built
+            built = _finish_graph(draw)
+        yield built

@@ -5,8 +5,9 @@ the pipeline's content-key vocabulary, collected in a
 :class:`TaskGraph`, and drained by the :class:`GraphScheduler` — the one
 process-pool engine — so dataset generation for one workload overlaps
 the accuracy audit of another, and serve's batched perf queries are just
-another graph consumer.  :class:`~repro.perf.executor.ParallelExecutor`
-maps run on the same scheduler, one node per chunk.
+another graph consumer.  Every fan-out is a graph builder (the
+observation audit, the Table 6 audit, the grid, size sweeps, per-file
+lint) and each command runs one graph; no node fans out inside itself.
 
 Concurrency eligibility comes from the determinism proof engine's
 exported facts (:mod:`repro.graph.policy`); the tie-break order is

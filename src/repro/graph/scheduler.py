@@ -4,8 +4,8 @@
 with deterministic results, stage attribution across the process
 boundary, and fault recovery, but without stage barriers: a ready node
 runs the moment its dependencies complete.  It is the only code that
-opens a process pool for the pipeline; ``ParallelExecutor.map`` runs
-each of its chunks as one node of an edge-free graph.
+opens a process pool for the pipeline: every fan-out is a graph builder
+whose command runs one graph, and no node starts a fan-out of its own.
 
 Edges carry values: every node runs as ``fn(*args, *inputs)``, where
 ``inputs`` are the values of its ``deps`` in ``deps`` order — on the
@@ -82,9 +82,9 @@ def submit_remote(pool: ProcessPoolExecutor, fn: Any, arg: Any,
                   timeout_s: float | None = None) -> Future:
     """Submit ``fn(arg)`` through the pool-worker entry, whose fault
     sites fire under ``fault_key``; an injected hang outlasts
-    ``timeout_s`` (2 s when unset)."""
-    return pool.submit(_run_chunk_remote, (fn, [arg], [label], None,
-                                           fault_key, 2 * (timeout_s or 1)))
+    ``timeout_s`` (2 s when unset), and a failure names ``label``."""
+    return pool.submit(_run_chunk_remote, (fn, arg, label, fault_key,
+                                           2 * (timeout_s or 1)))
 
 
 def remote_value(fut: Future) -> Any:
@@ -92,7 +92,7 @@ def remote_value(fut: Future) -> Any:
     stage timings merge into this process's registry."""
     out, timings = fut.result()
     merge_stage_timings(timings)
-    return out[0]
+    return out
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -166,7 +166,7 @@ class GraphScheduler:
     """Execute a :class:`TaskGraph`; results keyed by node key.
 
     ``n_jobs`` resolves like every worker count (explicit >
-    ``REPRO_JOBS`` > CPU count; 1 inside a pool worker).  A pool round in
+    ``REPRO_JOBS`` > CPU count).  A pool round in
     which no node finishes within ``REPRO_CHUNK_TIMEOUT_S`` fails (unset
     = wait forever); the retry budget and backoff are the module's.
     """

@@ -33,9 +33,9 @@ from pathlib import Path
 from .. import faults
 from ..gpu.device import Device
 from ..kernels.base import Variant
+from ..graph import GraphScheduler, TaskGraph
 from ..perf.cache import content_key, package_source_token
-from ..perf.executor import ParallelExecutor
-from .sweep import SIZE_SWEEPS, SweepPoint, _sweep_size, find_crossover
+from .sweep import SIZE_SWEEPS, SweepPoint, build_sweep_graph, find_crossover
 
 __all__ = ["SweepJournal", "point_key", "resumable_sweep",
            "serialize_payload"]
@@ -116,8 +116,11 @@ def resumable_sweep(name: str, device: Device,
     crossover}``.  With a ``journal``, each completed grid point is
     appended durably; with ``resume=True``, points already journaled
     (under matching content keys — same code, same grid point) are reused
-    instead of recomputed.  The ``sweep.kill`` fault site fires after a
-    fresh point is journaled, modelling SIGKILL at the worst instant.
+    instead of recomputed.  The pending points run as the
+    :func:`~repro.harness.sweep.build_sweep_graph` nodes of their sizes,
+    in one graph; journal appends stay in this process, in size order.
+    The ``sweep.kill`` fault site fires after a fresh point is journaled,
+    modelling SIGKILL at the worst instant.
     """
     if name not in SIZE_SWEEPS:
         raise ValueError(f"no size sweep for {name!r}; available: "
@@ -132,15 +135,15 @@ def resumable_sweep(name: str, device: Device,
             done = {k: journaled[k] for k in keys.values() if k in journaled}
         else:
             journal.clear()
-    pending = [s for s in sizes if keys[s] not in done]
-    if pending:
-        computed = ParallelExecutor(n_jobs).map(
-            _sweep_size, [(name, s, device, variants) for s in pending],
-            chunk_size=1)
-        fresh = {keys[s]: [_point_dict(p) for p in chunk]
-                 for s, chunk in zip(pending, computed)}
-    else:
-        fresh = {}
+    # build_sweep_graph adds one node per size, in ``sizes`` order
+    pending = {keys[s]: node for s, node in zip(
+        sizes, build_sweep_graph(name, device, variants))
+        if keys[s] not in done}
+    graph = TaskGraph()
+    graph.extend(list(pending.values()))
+    computed = GraphScheduler(n_jobs).run(graph)
+    fresh = {key: [_point_dict(p) for p in computed[node.key]]
+             for key, node in pending.items()}
     points: list[dict] = []
     for s in sizes:
         key = keys[s]

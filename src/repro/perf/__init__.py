@@ -1,14 +1,14 @@
-"""Cross-cutting evaluation-engine layer: parallel fan-out,
+"""Cross-cutting evaluation-engine layer: the pool-worker entry,
 content-addressed result caching, and per-stage instrumentation.
 
 The characterization pipeline is an embarrassingly parallel grid
 (workload x variant x case x GPU) built from deterministic generators, so
 two orthogonal mechanisms cover almost all of its cost:
 
-* :class:`ParallelExecutor` — deterministic, order-preserving fan-out of
-  independent evaluation tasks, run as chunk nodes on the graph
-  scheduler's process pool (in-process for ``n_jobs=1``, with identical
-  results in identical order);
+* fan-out — every parallel call site builds a task graph that
+  :class:`~repro.graph.GraphScheduler` runs; :mod:`repro.perf.executor`
+  holds what its pool workers run (the worker entry, the worker-count
+  rule and :class:`WorkerTaskError`);
 * :class:`ResultCache` — a two-tier (in-memory LRU + on-disk) store keyed
   by a stable content hash of (qualname, params, library version, source
   code), exploiting the fixed-seed LCG determinism guarantee (DESIGN.md
@@ -33,7 +33,7 @@ from .cache import (
     set_default_cache,
     source_token,
 )
-from .executor import ParallelExecutor, WorkerTaskError, resolve_n_jobs
+from .executor import WorkerTaskError, resolve_n_jobs
 from .instrument import (
     StageTiming,
     record_stage,
@@ -55,7 +55,6 @@ __all__ = [
     "package_source_token",
     "set_default_cache",
     "source_token",
-    "ParallelExecutor",
     "WorkerTaskError",
     "resolve_n_jobs",
     "StageTiming",

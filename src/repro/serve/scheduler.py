@@ -24,9 +24,9 @@ minimal under concurrent load:
   ``ProcessPoolExecutor`` of ``workers`` processes by default, under the
   pool engine's failure rule (:mod:`repro.graph.scheduler`): a crashed
   pool is killed and rebuilt and the call retried, and a call whose
-  retries are spent runs in-process, that call only.  A resolver's own
-  exception is its answer.  The event loop itself never executes model
-  code.
+  retries are spent runs in-process, that call only, with at most
+  ``workers`` such calls at once.  A resolver's own exception is its
+  answer.  The event loop itself never executes model code.
 """
 
 from __future__ import annotations
@@ -68,9 +68,12 @@ class ModelPool:
     ``mode="process"`` gives true parallelism and crash isolation, and
     recovers by the pool engine's rule (:mod:`repro.graph.scheduler`): a
     pool failure kills the workers (``pool_rebuilds_total``) and the
-    call retries on a new pool; once the retry budget is spent, that one
-    call runs in-process (``pool_inprocess_total``).  ``mode="thread"``
-    runs calls on threads (numpy releases the GIL for the heavy kernels).
+    calls retry on a new pool.  One failed pool spends one attempt, of
+    the call that replaces it; the calls it fails with it resubmit for
+    free.  Once a call's retry budget is spent, that one call runs
+    in-process (``pool_inprocess_total``), at most ``workers`` of them
+    at once.  ``mode="thread"`` runs calls on threads (numpy releases
+    the GIL for the heavy kernels).
     """
 
     def __init__(self, workers: int = 2, mode: str = "process", *,
@@ -85,6 +88,9 @@ class ModelPool:
         self.telemetry.gauge("pool_mode", mode)
         self.telemetry.gauge("pool_workers", workers)
         self._executor: Executor | None = None
+        #: calls whose retries are spent run in-process, at most
+        #: ``workers`` at a time, like the pool
+        self._inprocess = asyncio.Semaphore(workers)
         self._closed = False
 
     def _ensure(self) -> Executor:
@@ -116,29 +122,38 @@ class ModelPool:
     async def _run_remote(self, call: Callable[[], Any],
                           key: str) -> tuple[bool, Any]:
         """The call through the engine's worker entry, under fault key
-        ``serve:<key>:<attempt>``.  Its own errors come back as values:
+        ``serve:<key>:<submission>``.  Its own errors come back as values:
         what raises is the pool's failure or a call it cannot send."""
-        for failures in range(engine.MAX_RETRIES + 1):
-            if failures:
-                await asyncio.sleep(engine.backoff_s(failures))
+        failures = submission = 0
+        while failures <= engine.MAX_RETRIES:
             pool = self._ensure()
+            # a new fault key per submission: the crash drawn for one
+            # does not fire again on the next
+            fault_key = f"serve:{key}:{submission}"
+            submission += 1
             try:
                 fut = engine.submit_remote(pool, _guarded, call, key,
-                                           f"serve:{key}:{failures}")
+                                           fault_key)
                 await asyncio.wrap_future(fut)
                 return engine.remote_value(fut)
             except engine.POOL_FAILURES:
-                # one crash, one rebuild: a call that failed on a pool
-                # another call already replaced only resubmits
-                if pool is self._executor:
-                    self._executor = None
-                    self.telemetry.inc("pool_rebuilds_total")
-                    # off the loop: the kill joins workers for up to 5 s
-                    await asyncio.to_thread(engine._kill_pool, pool)
+                # one crash, one rebuild, one attempt: a call that failed
+                # on a pool another call already replaced resubmits
+                # without spending one
+                if pool is not self._executor:
+                    continue
+                self._executor = None
+                self.telemetry.inc("pool_rebuilds_total")
+                failures += 1
+                # off the loop: the kill joins workers for up to 5 s
+                await asyncio.to_thread(engine._kill_pool, pool)
+                if failures <= engine.MAX_RETRIES:
+                    await asyncio.sleep(engine.backoff_s(failures))
         # the retry budget is spent: this call runs in-process, and the
         # next one uses the process pool again
         self.telemetry.inc("pool_inprocess_total")
-        return await asyncio.to_thread(_guarded, call)
+        async with self._inprocess:
+            return await asyncio.to_thread(_guarded, call)
 
     async def shutdown(self) -> None:
         """Close the pool for good; process workers are killed, so a busy

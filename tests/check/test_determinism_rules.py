@@ -5,6 +5,7 @@ import pytest
 from repro.check.dataflow import PackageGraph
 from repro.check.determinism import analyze_package, facts_to_json
 from repro.check.runner import package_root
+from repro.graph import TaskGraph, TaskNode
 
 
 def _rules(sources):
@@ -128,74 +129,92 @@ class TestD002ServePayloadTaint:
             "    return {'t': 1.0}\n")}) == []
 
 
-_EXEC_PRELUDE = "from repro.perf.executor import ParallelExecutor\n"
+_GRAPH_PRELUDE = "from repro.graph import TaskGraph, TaskNode\n"
 
 
 class TestD003DispatchMutableState:
+    """A function fanned out to pool workers that reads a module global
+    rebound elsewhere: workers see a fork-time snapshot, so serial and
+    parallel runs can diverge.  Every fan-out is a task-graph node, and
+    R009 catches the read on the node callable, through helpers too."""
+
     def test_closure_over_mutated_global_fires(self):
-        rules = _rules({"a.py": _EXEC_PRELUDE + (
+        rules = _rules({"a.py": _GRAPH_PRELUDE + (
             "_MODE = 'fast'\n"
             "def set_mode(m):\n"
             "    global _MODE\n"
             "    _MODE = m\n"
             "def worker(x):\n"
             "    return (x, _MODE)\n"
-            "def drive(items):\n"
-            "    ex = ParallelExecutor(4)\n"
-            "    return ex.map(worker, items)\n")})
-        assert [r[0] for r in rules] == ["D003"]
+            "def build():\n"
+            "    g = TaskGraph()\n"
+            "    g.add(TaskNode(key='k', kind='unit', fn=worker))\n"
+            "    return g\n")})
+        assert [r[0] for r in rules] == ["R009"]
+
+    def test_mutated_global_read_through_a_helper_fires(self):
+        rules = _rules({"a.py": _GRAPH_PRELUDE + (
+            "_MODE = 'fast'\n"
+            "def set_mode(m):\n"
+            "    global _MODE\n"
+            "    _MODE = m\n"
+            "def mode():\n"
+            "    return _MODE\n"
+            "def worker(x):\n"
+            "    return (x, mode())\n"
+            "def build():\n"
+            "    g = TaskGraph()\n"
+            "    g.add(TaskNode(key='k', kind='unit', fn=worker))\n"
+            "    return g\n")})
+        assert [r[0] for r in rules] == ["R009"]
 
     def test_constant_global_read_is_clean(self):
-        assert _rules({"a.py": _EXEC_PRELUDE + (
+        assert _rules({"a.py": _GRAPH_PRELUDE + (
             "_SCALE = 3\n"
             "def worker(x):\n"
             "    return x * _SCALE\n"
-            "def drive(items):\n"
-            "    ex = ParallelExecutor(4)\n"
-            "    return ex.map(worker, items)\n")}) == []
+            "def build():\n"
+            "    g = TaskGraph()\n"
+            "    g.add(TaskNode(key='k', kind='unit', fn=worker))\n"
+            "    return g\n")}) == []
+
+
+class _Driver:
+    def work(self, x):
+        return x
+
+
+def _module_level(x):
+    return x + 1
 
 
 class TestD004DispatchPicklable:
+    """A fanned-out callable that is a lambda, a nested function or a
+    bound method does not pickle to a pool worker.  ``TaskGraph.add``
+    rejects each one when the graph is built, before any run, serial
+    runs included."""
+
+    @staticmethod
+    def _add(fn):
+        TaskGraph().add(TaskNode(key="k", kind="unit", fn=fn))
+
     def test_lambda_dispatch_fires(self):
-        rules = _rules({"a.py": _EXEC_PRELUDE + (
-            "def drive(items):\n"
-            "    ex = ParallelExecutor(4)\n"
-            "    return ex.map(lambda x: x + 1, items)\n")})
-        assert [r[0] for r in rules] == ["D004"]
+        with pytest.raises(ValueError, match="module-level"):
+            self._add(lambda x: x + 1)
 
     def test_nested_def_dispatch_fires(self):
-        rules = _rules({"a.py": _EXEC_PRELUDE + (
-            "def drive(items):\n"
-            "    def helper(x):\n"
-            "        return x + 1\n"
-            "    ex = ParallelExecutor(4)\n"
-            "    return ex.map(helper, items)\n")})
-        assert [r[0] for r in rules] == ["D004"]
+        def helper(x):
+            return x + 1
+
+        with pytest.raises(ValueError, match="module-level"):
+            self._add(helper)
 
     def test_bound_method_dispatch_fires(self):
-        rules = _rules({"a.py": _EXEC_PRELUDE + (
-            "class Driver:\n"
-            "    def work(self, x):\n"
-            "        return x\n"
-            "    def drive(self, items):\n"
-            "        ex = ParallelExecutor(4)\n"
-            "        return ex.map(self.work, items)\n")})
-        assert [r[0] for r in rules] == ["D004"]
+        with pytest.raises(ValueError, match="module-level"):
+            self._add(_Driver().work)
 
     def test_module_level_function_is_clean(self):
-        assert _rules({"a.py": _EXEC_PRELUDE + (
-            "def worker(x):\n"
-            "    return x + 1\n"
-            "def drive(items):\n"
-            "    ex = ParallelExecutor(4)\n"
-            "    return ex.map(worker, items)\n")}) == []
-
-    def test_starmap_is_covered_too(self):
-        rules = _rules({"a.py": _EXEC_PRELUDE + (
-            "def drive(items):\n"
-            "    ex = ParallelExecutor(4)\n"
-            "    return ex.starmap(lambda a, b: a + b, items)\n")})
-        assert [r[0] for r in rules] == ["D004"]
+        self._add(_module_level)
 
 
 _KEY_PRELUDE = "from repro.perf.cache import content_key\n"
@@ -290,16 +309,26 @@ class TestFactsArtifact:
         assert "time.time" in via["witness"]
 
     def test_facts_record_pool_and_cache_sites(self):
-        sources = {"a.py": _EXEC_PRELUDE + (
+        """A pool fan-out is a graph node site; a result-cache store is a
+        cache site."""
+        sources = {"a.py": _GRAPH_PRELUDE + _CACHE_PRELUDE + (
             "def worker(x):\n"
             "    return x\n"
-            "def drive(items):\n"
-            "    ex = ParallelExecutor(2)\n"
-            "    return ex.map(worker, items)\n")}
+            "def build():\n"
+            "    g = TaskGraph()\n"
+            "    g.add(TaskNode(key='k', kind='unit', fn=worker))\n"
+            "    return g\n"
+            "def cached():\n"
+            "    key = content_key('k', 1)\n"
+            "    return default_cache().get_or_compute('k', key, worker)\n"
+        )}
         rep = analyze_package(graph=PackageGraph.from_sources(sources))
-        [site] = rep.facts["pool_dispatch"]
+        [site] = rep.facts["graph_nodes"]
         assert site["target"] == "a.py::worker"
-        assert site["picklable"] is True
+        assert site["ambient"] == [] and site["tainted"] == []
+        [store] = rep.facts["cache_values"]
+        assert store["compute"] == "a.py::worker"
+        assert "pool_dispatch" not in rep.facts
 
 
 class TestWholeRepo:
@@ -317,18 +346,16 @@ class TestWholeRepo:
         facts = analyze_package(package_root()).facts
         cache_mods = {e["module"] for e in facts["cache_values"]}
         assert "analysis/observations.py" in cache_mods
-        pool_targets = {e["target"] for e in facts["pool_dispatch"]}
-        assert "analysis/accuracy.py::_audit_one" in pool_targets
         node_targets = {e["target"] for e in facts["graph_nodes"]}
-        assert "kernels/base.py::case_stats" in node_targets
+        assert {"analysis/accuracy.py::_node_accuracy",
+                "check/runner.py::_check_file",
+                "harness/sweep.py::_sweep_size",
+                "kernels/base.py::case_stats"} <= node_targets
         serve_fns = {e["function"] for e in facts["serve_payloads"]}
         assert "serve/queries.py::_resolve_perf" in serve_fns
         key_fns = {(e["module"], e["function"])
                    for e in facts["content_keys"]}
         assert ("serve/scheduler.py", "query_key") in key_fns
-
-
-_GRAPH_PRELUDE = "from repro.graph import TaskGraph, TaskNode\n"
 
 
 class TestR009GraphNodeAmbient:
@@ -396,13 +423,14 @@ class TestR009GraphNodeAmbient:
         assert rep.facts["purity"]["a.py::dirty"]["ambient"] == ["env"]
 
     def test_repo_graph_builders_are_r009_clean(self):
-        """The five shipped node callables must stay provably pure —
-        the concurrency policy schedules them on these facts."""
+        """The shipped node callables must stay provably pure — the
+        concurrency policy schedules them on these facts."""
         facts = analyze_package(package_root()).facts
         targets = {e["target"] for e in facts["graph_nodes"]}
-        assert {"analysis/observations.py::_node_dataset",
-                "analysis/observations.py::_node_accuracy",
+        assert {"analysis/accuracy.py::_node_dataset",
+                "analysis/accuracy.py::_node_accuracy",
                 "analysis/observations.py::_run_observation",
+                "check/runner.py::_check_file",
                 "kernels/base.py::case_stats",
                 "harness/sweep.py::_sweep_size"} <= targets
         for e in facts["graph_nodes"]:

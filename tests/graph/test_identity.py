@@ -1,16 +1,20 @@
 """The shape of the observation audit's task graph.
 
 Which nodes ``build_observations_graph`` emits and how they are wired:
-stats nodes feed the analytic observations, and for the default suite a
-dataset -> accuracy spine feeds O7.  Serial-vs-parallel equality of the
-pipelines lives in ``tests/perf/test_parallel_paths.py``, and the
-recorded digests pin their values.
+stats nodes feed the analytic observations, accuracy nodes feed O7, and
+for the default suite a dataset warm-up node feeds each accuracy node.
+Serial-vs-parallel equality of the pipelines lives in
+``tests/perf/test_parallel_paths.py``, and the recorded digests pin
+their values.
 """
 
-from repro.analysis.accuracy import accuracy_table
+from repro.analysis.accuracy import (
+    AUDIT_SEED,
+    _node_accuracy,
+    accuracy_table,
+)
 from repro.analysis.observations import (
     OBSERVATIONS,
-    _node_accuracy,
     build_observations_graph,
 )
 from repro.gpu import Device
@@ -49,9 +53,16 @@ class TestObservationsGraphShape:
                               if n.kind == "observation-audit")
         assert observations == [f"observation:{i:02d}"
                                 for i in range(1, len(OBSERVATIONS) + 1)]
-        assert len(g) == len(stats) + len(observations)
-        # no warm-up spine for explicit lists: O7 runs free
-        assert g.node("observation:07").deps == ()
+        audits = [f"accuracy:{w.name}" for w in FAST_WL]  # all fp
+        assert len(g) == len(stats) + len(observations) + len(audits)
+        # O7 reads every accuracy node; explicit lists have no warm-up
+        # spine, and each node carries its own workload object (settings
+        # such as SpmvWorkload(scale=0.08) included) and the list's H200
+        assert g.node("observation:07").deps == tuple(audits)
+        for w, key in zip(FAST_WL, audits):
+            node = g.node(key)
+            assert node.deps == ()
+            assert node.args == (w, DEVICES[1], AUDIT_SEED)
         for i in (3, 4, 5):
             assert g.node(f"observation:{i:02d}").deps == tuple(
                 _stats_keys(FAST_WL, every_case=True))
@@ -95,5 +106,6 @@ class TestObservationsGraphShape:
         """The graph's accuracy node is the direct audit call —
         byte-for-byte the values the seed digests pin."""
         direct = accuracy_table(get_workload("gemv"), Device("H200"))
-        assert _node_accuracy("gemv") == direct
+        assert _node_accuracy(get_workload("gemv"), Device("H200"),
+                              AUDIT_SEED) == direct
 

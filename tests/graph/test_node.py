@@ -67,6 +67,14 @@ class TestAddValidation:
         with pytest.raises(ValueError, match="module-level"):
             g.add(TaskNode(key="a", kind="unit", fn=inner))
 
+    def test_bound_method_rejected(self):
+        """A method bound to an instance is rejected even where the
+        instance itself would be accepted as the callable."""
+        g = TaskGraph()
+        with pytest.raises(ValueError, match="module-level"):
+            g.add(TaskNode(key="a", kind="unit",
+                           fn=_CallableNode().__call__))
+
     def test_module_level_and_instance_callables_accepted(self):
         g = TaskGraph()
         g.add(TaskNode(key="a", kind="unit", fn=_value, args=(2,)))

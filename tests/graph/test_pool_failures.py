@@ -1,12 +1,12 @@
-"""The engine's failure rule, through both entry points.
+"""The engine's failure rule.
 
-``GraphScheduler.run`` and ``ParallelExecutor.map`` share one pool loop
-(docs/ROBUSTNESS.md): only a broken pool, an ``OSError``, or a round in
-which no node finished in time is retried, whether the pool failure
-comes back on a future or is raised by ``submit``.  A failed round kills
-the pool's workers, so a hung worker never outlives the run.  Any other
-exception, such as a payload that cannot pickle, kills the pool and
-propagates at once, with no retry and no degrade.
+``GraphScheduler.run`` is the one pool loop (docs/ROBUSTNESS.md): only a
+broken pool, an ``OSError``, or a round in which no node finished in
+time is retried, whether the pool failure comes back on a future or is
+raised by ``submit``.  A failed round kills the pool's workers, so a
+hung worker never outlives the run.  Any other exception, such as a
+payload that cannot pickle, kills the pool and propagates at once, with
+no retry and no degrade.
 """
 
 import multiprocessing
@@ -25,18 +25,15 @@ import pytest
 import repro
 from repro import faults
 from repro.graph import GraphScheduler, TaskGraph, TaskNode
-from repro.perf.executor import ParallelExecutor
 
 #: runs four nodes that sleep 60 s, but only inside pool workers, with no
 #: retry round (the round timeout comes from the environment), then
 #: prints the values and the degraded-node count
 _HUNG_WORKERS = '''
 import multiprocessing
-import sys
 import time
 
 from repro.graph import GraphScheduler, TaskGraph, TaskNode, scheduler
-from repro.perf.executor import ParallelExecutor
 
 
 def sleep_in_workers(x):
@@ -47,20 +44,14 @@ def sleep_in_workers(x):
 
 if __name__ == "__main__":
     scheduler.MAX_RETRIES = 0
-    if sys.argv[1] == "graph":
-        graph = TaskGraph()
-        for i in range(4):
-            graph.add(TaskNode(key=f"sq:{i}", kind="square",
-                               fn=sleep_in_workers, args=(i,)))
-        sched = GraphScheduler(2)
-        out = sched.run(graph)
-        values = [out[f"sq:{i}"] for i in range(4)]
-        stats = sched.last_stats
-    else:
-        ex = ParallelExecutor(2)
-        values = ex.map(sleep_in_workers, range(4), chunk_size=1)
-        stats = ex.last_stats
-    print(values, stats.degraded_nodes)
+    graph = TaskGraph()
+    for i in range(4):
+        graph.add(TaskNode(key=f"sq:{i}", kind="square",
+                           fn=sleep_in_workers, args=(i,)))
+    sched = GraphScheduler(2)
+    out = sched.run(graph)
+    values = [out[f"sq:{i}"] for i in range(4)]
+    print(values, sched.last_stats.degraded_nodes)
 '''
 
 
@@ -85,10 +76,16 @@ def _new_children(before):
             if p.pid not in before]
 
 
+def _squares_graph(n):
+    graph = TaskGraph()
+    for i in range(n):
+        graph.add(TaskNode(key=f"sq:{i}", kind="square", fn=_square,
+                           args=(i,)))
+    return graph
+
+
 class TestHungWorkersAreKilled:
-    @pytest.mark.parametrize("entry", ["graph", "map"])
-    def test_process_exits_promptly_after_a_hung_round(self, entry,
-                                                       tmp_path):
+    def test_process_exits_promptly_after_a_hung_round(self, tmp_path):
         """The round times out, the serial degrade answers, and the
         process exits: its hung workers were terminated, so interpreter
         exit does not wait out their 60 s sleep."""
@@ -96,7 +93,7 @@ class TestHungWorkersAreKilled:
         script.write_text(_HUNG_WORKERS)
         src = str(Path(repro.__file__).resolve().parents[1])
         proc = subprocess.Popen(
-            [sys.executable, str(script), entry], stdout=subprocess.PIPE,
+            [sys.executable, str(script)], stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True, start_new_session=True,
             env={**os.environ, "PYTHONPATH": src,
                  "REPRO_CHUNK_TIMEOUT_S": "0.3"})
@@ -111,13 +108,14 @@ class TestHungWorkersAreKilled:
         assert proc.returncode == 0, err
         assert out.split("\n")[0] == "[0, 1, 4, 9] 4"
 
-    def test_no_hung_map_worker_outlives_the_map(self, pool_rule):
+    def test_no_hung_worker_outlives_the_run(self, pool_rule):
         faults.install_plan("executor.worker_hang=1.0,seed=1")
         before = {p.pid for p in multiprocessing.active_children()}
         pool_rule(max_retries=0, backoff_base_s=0.0, chunk_timeout_s=0.3)
-        ex = ParallelExecutor(2)
-        assert ex.map(_square, range(4), chunk_size=1) == [0, 1, 4, 9]
-        assert ex.last_stats.degraded_nodes == 4
+        sched = GraphScheduler(2)
+        assert sched.run(_squares_graph(4)) == \
+            {f"sq:{i}": i * i for i in range(4)}
+        assert sched.last_stats.degraded_nodes == 4
         assert _new_children(before) == []
 
 
@@ -139,17 +137,6 @@ class TestUnpicklablePayload:
         assert sched.last_stats.degraded_nodes == 0
         assert _new_children(before) == []
 
-    def test_map_raises(self, pool_rule):
-        pool_rule(max_retries=3, backoff_base_s=0.05)
-        ex = ParallelExecutor(2)
-        before = {p.pid for p in multiprocessing.active_children()}
-        with pytest.raises((TypeError, pickle.PicklingError)):
-            ex.map(_identity, [threading.Lock() for _ in range(4)],
-                   chunk_size=1)
-        assert ex.last_stats.failed_rounds == 0
-        assert ex.last_stats.degraded_nodes == 0
-        assert _new_children(before) == []
-
 
 class TestSubmitFailure:
     def test_broken_pool_at_submit_fails_the_round(self, pool_rule,
@@ -168,12 +155,9 @@ class TestSubmitFailure:
 
         monkeypatch.setattr(ProcessPoolExecutor, "submit", third_call_breaks)
         pool_rule(max_retries=3, backoff_base_s=0.01)
-        graph = TaskGraph()
-        for i in range(6):
-            graph.add(TaskNode(key=f"sq:{i}", kind="square", fn=_square,
-                               args=(i,)))
         sched = GraphScheduler(2)
-        assert sched.run(graph) == {f"sq:{i}": i * i for i in range(6)}
+        assert sched.run(_squares_graph(6)) == \
+            {f"sq:{i}": i * i for i in range(6)}
         assert sched.last_stats.failed_rounds == 1
         assert sched.last_stats.degraded_nodes == 0
         assert len(calls) > 3  # the rest went to a rebuilt pool

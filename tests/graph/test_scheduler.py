@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.observations import _node_accuracy, _node_dataset
+from repro.analysis.accuracy import _node_dataset
 from repro.graph import (
     ConcurrencyPolicy,
     GraphScheduler,
@@ -158,7 +158,7 @@ class TestPolicy:
 
     def test_facts_drive_concurrency(self):
         fid = function_fid(_node_dataset)
-        assert fid == "analysis/observations.py::_node_dataset"
+        assert fid == "analysis/accuracy.py::_node_dataset"
         node = TaskNode(key="dataset:gemm", kind="dataset-gen",
                         fn=_node_dataset, args=("gemm",))
         pure = ConcurrencyPolicy(
@@ -172,17 +172,25 @@ class TestPolicy:
         assert not ambient.concurrent(node)
 
     def test_shipped_facts_prove_pipeline_nodes_concurrent(self):
-        """The checked-in artifact must keep the graph builders' node
-        callables pure and ambient-free — otherwise every pipeline node
-        serializes and the overlap gate in CI fails."""
+        """The checked-in artifact must keep every graph builder's node
+        callable pure and ambient-free — otherwise that node serializes
+        (a lint node reading its own file would) and the overlap gate in
+        CI fails."""
         policy = ConcurrencyPolicy()
         assert policy.facts is not None, "determinism_facts.json missing"
-        for fn, name in ((_node_dataset, "gemm"), (_node_accuracy, "gemm")):
-            node = TaskNode(key=f"x:{name}", kind="dataset-gen", fn=fn,
-                            args=(name,))
-            entry = policy.facts["purity"][function_fid(fn)]
-            assert entry["pure"] is True and not entry.get("ambient")
-            assert policy.concurrent(node)
+        targets = sorted({e["target"] for e in policy.facts["graph_nodes"]})
+        assert {"analysis/accuracy.py::_node_accuracy",
+                "analysis/accuracy.py::_node_dataset",
+                "analysis/observations.py::_run_observation",
+                "check/runner.py::_check_file",
+                "harness/sweep.py::_sweep_size",
+                "kernels/base.py::case_stats"} <= set(targets)
+        for fid in targets:
+            entry = policy.facts["purity"][fid]
+            assert entry["pure"] is True and not entry.get("ambient"), fid
+        node = TaskNode(key="dataset:gemm", kind="dataset-gen",
+                        fn=_node_dataset, args=("gemm",))
+        assert policy.concurrent(node)
 
 
 class TestFactsLoading:
@@ -306,16 +314,23 @@ class TestObservability:
 
 
 class TestErrors:
+    """A failing node's error names its label on either path."""
+
     def test_task_error_propagates_serial(self):
         g = TaskGraph()
-        g.add(TaskNode(key="bad", kind="unit", fn=_boom, args=(3,)))
-        with pytest.raises(WorkerTaskError, match="bad node 3"):
+        g.add(TaskNode(key="bad", kind="unit", fn=_boom, args=(3,),
+                       label="wl-3"))
+        with pytest.raises(WorkerTaskError, match="bad node 3") as info:
             GraphScheduler(1).run(g)
+        assert info.value.label == "wl-3"
 
     def test_task_error_propagates_pooled(self, pool_rule):
         g = _chain_graph(n=4)
-        g.add(TaskNode(key="bad", kind="unit", fn=_boom, args=(3,)))
+        g.add(TaskNode(key="bad", kind="unit", fn=_boom, args=(3,),
+                       label="wl-3"))
         pool_rule(max_retries=1, backoff_base_s=0.01)
-        with pytest.raises(WorkerTaskError, match="bad node 3"):
+        with pytest.raises(WorkerTaskError, match="bad node 3") as info:
             GraphScheduler(2).run(g)
+        assert info.value.label == "wl-3"
+        assert "worker traceback" in str(info.value)
 

@@ -1,11 +1,12 @@
-"""ParallelExecutor: ordering, determinism, chunking, fallback."""
+"""The worker-count rule, the pool-worker entry, and fan-out as a graph:
+each item one node of an edge-free task graph."""
 
 import pytest
 
+from repro.graph import GraphScheduler, TaskGraph, TaskNode
 from repro.perf.executor import (
-    ParallelExecutor,
     WorkerTaskError,
-    _chunk_bounds,
+    _run_chunk_remote,
     resolve_n_jobs,
 )
 
@@ -14,12 +15,19 @@ def _square(x: int) -> int:
     return x * x
 
 
-def _addmul(a: int, b: int) -> int:
-    return a + 10 * b
+def _fan_out(fn, items):
+    """One node per item, keyed so the tie-break follows item order."""
+    graph = TaskGraph()
+    for i, x in enumerate(items):
+        graph.add(TaskNode(key=f"item:{i:04d}", kind="unit", fn=fn,
+                           args=(x,), label=f"wl-{x}"))
+    return graph
 
 
-def _jobs(n_jobs):
-    return resolve_n_jobs(n_jobs)
+def _run(n_jobs, fn, items):
+    graph = _fan_out(fn, items)
+    results = GraphScheduler(n_jobs).run(graph)
+    return [results[node.key] for node in graph]
 
 
 class TestResolveNJobs:
@@ -37,16 +45,9 @@ class TestResolveNJobs:
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            ParallelExecutor(0)
-
-    def test_pool_worker_defaults_to_one(self, monkeypatch):
-        """A fan-out inside a pool worker runs in-process unless its
-        count is explicit: no worker opens a second pool."""
-        monkeypatch.setenv("REPRO_JOBS", "4")
-        ex = ParallelExecutor(2)
-        assert ex.map(_jobs, [None, None], chunk_size=1) == [1, 1]
-        assert ex.last_stats.workers == 2
-        assert ex.map(_jobs, [3, 3], chunk_size=1) == [3, 3]
+            resolve_n_jobs(0)
+        with pytest.raises(ValueError):
+            GraphScheduler(0)
 
 
 class TestWorkerSizing:
@@ -60,10 +61,11 @@ class TestWorkerSizing:
         monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: 1)
         assert resolve_n_jobs(4) == 4
         instrument.reset_stage_timings()
-        ex = ParallelExecutor(4)
-        assert ex.n_jobs == 4
-        out = ex.map(_square, range(8), chunk_size=2)
-        assert out == [i * i for i in range(8)]
+        sched = GraphScheduler(4)
+        assert sched.n_jobs == 4
+        graph = _fan_out(_square, range(8))
+        out = sched.run(graph)
+        assert [out[node.key] for node in graph] == [i * i for i in range(8)]
         assert instrument.stage_meta().get("max_workers") == 4
         instrument.reset_stage_timings()
 
@@ -71,7 +73,7 @@ class TestWorkerSizing:
         from repro.perf import instrument
 
         instrument.reset_stage_timings()
-        ParallelExecutor(8).map(_square, range(3))
+        GraphScheduler(8).run(_fan_out(_square, range(3)))
         assert instrument.stage_meta().get("max_workers") == 3
         instrument.reset_stage_timings()
 
@@ -83,55 +85,31 @@ class TestWorkerSizing:
         assert resolve_n_jobs() == 1
 
 
-class TestChunking:
-    def test_bounds_cover_exactly(self):
-        assert _chunk_bounds(10, 4) == [(0, 4), (4, 8), (8, 10)]
-        assert _chunk_bounds(0, 4) == []
-        assert _chunk_bounds(3, 8) == [(0, 3)]
-
-    def test_bounds_are_deterministic(self):
-        assert _chunk_bounds(101, 7) == _chunk_bounds(101, 7)
-
-
 class TestMap:
     def test_serial_path_preserves_order(self):
-        ex = ParallelExecutor(1)
-        assert ex.map(_square, range(9)) == [i * i for i in range(9)]
+        assert _run(1, _square, range(9)) == [i * i for i in range(9)]
 
     def test_parallel_matches_serial(self):
         items = list(range(23))
-        serial = ParallelExecutor(1).map(_square, items)
-        parallel = ParallelExecutor(2).map(_square, items, chunk_size=3)
-        assert parallel == serial
-
-    def test_starmap(self):
-        pairs = [(i, i + 1) for i in range(8)]
-        assert ParallelExecutor(2).starmap(_addmul, pairs) == \
-            [a + 10 * b for a, b in pairs]
+        assert _run(2, _square, items) == _run(1, _square, items)
 
     def test_empty_input(self):
-        assert ParallelExecutor(2).map(_square, []) == []
+        assert GraphScheduler(2).run(TaskGraph()) == {}
 
     def test_worker_exception_propagates(self):
-        with pytest.raises(WorkerTaskError, match="item 1"):
-            # chunk_size=4: item 5 is index 1 of its chunk
-            ParallelExecutor(2).map(_fail_on_five, list(range(10)),
-                                    chunk_size=4)
+        with pytest.raises(WorkerTaskError, match="wl-5") as info:
+            _run(2, _fail_on_five, list(range(10)))
+        assert info.value.label == "wl-5"
 
     def test_worker_exception_names_label(self):
-        labels = [f"wl-{i}" for i in range(10)]
-        with pytest.raises(WorkerTaskError, match="wl-5.*ZeroDivisionError"):
-            ParallelExecutor(2).map(_fail_on_five, list(range(10)),
-                                    labels=labels, chunk_size=3)
-
-    def test_label_callable_and_serial_path(self):
-        with pytest.raises(WorkerTaskError, match="wl-5"):
-            ParallelExecutor(1).map(_fail_on_five, list(range(10)),
-                                    labels=lambda x: f"wl-{x}")
-
-    def test_label_count_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="labels"):
-            ParallelExecutor(2).map(_square, range(4), labels=["a"])
+        """The worker entry names the failing call and carries the
+        worker-side traceback."""
+        with pytest.raises(WorkerTaskError,
+                           match="wl-5.*ZeroDivisionError") as info:
+            _run_chunk_remote((_fail_on_five, 5, "wl-5", "k:0", 1.0))
+        assert info.value.label == "wl-5"
+        assert "worker traceback" in str(info.value)
+        assert _run_chunk_remote((_square, 3, "sq", "k:0", 1.0))[0] == 9
 
 
 def _fail_on_five(x: int) -> float:

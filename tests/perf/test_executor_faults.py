@@ -1,12 +1,13 @@
-"""Map recovery: crashes, hangs, retries, and the serial degrade.
+"""Fan-out recovery: crashes, hangs, retries, and the serial degrade.
 
-``ParallelExecutor.map`` runs each chunk as a graph node, so it recovers
+A fan-out is an edge-free task graph, one node per item, so it recovers
 under the scheduler's rule (docs/ROBUSTNESS.md): a broken pool or hung
-chunk never changes the output — completed chunks are reused, pending
-chunks are retried or finished serially, and the assembled result is
+round never changes the output — completed nodes are reused, pending
+ones are retried or finished serially, and the assembled result is
 bit-identical to a fault-free run.  Worker crashes are injected two
 ways: deterministically via helper functions that die only inside pool
-workers, and via the ``executor.worker_crash`` fault plan.
+workers, and via the ``executor.worker_crash`` fault plan, which fires
+in the pool-worker entry every node passes through.
 """
 
 import math
@@ -17,7 +18,8 @@ import time
 import pytest
 
 from repro import faults
-from repro.perf.executor import ParallelExecutor, WorkerTaskError
+from repro.graph import GraphScheduler, TaskGraph, TaskNode
+from repro.perf.executor import WorkerTaskError
 
 
 @pytest.fixture(autouse=True)
@@ -39,8 +41,8 @@ def _crash_in_workers(x):
     return x * x
 
 
-class _CrashFirstChunkOnce:
-    """Chunk 0 items sleep then crash the worker — but only until the
+class _CrashFirstItemsOnce:
+    """Items below 2 sleep then crash the worker — but only until the
     marker file exists; other items log themselves and return."""
 
     def __init__(self, marker, log):
@@ -48,9 +50,9 @@ class _CrashFirstChunkOnce:
         self.log = str(log)
 
     def __call__(self, x):
-        if x < 4 and not os.path.exists(self.marker):
+        if x < 2 and not os.path.exists(self.marker):
             open(self.marker, "w").close()
-            time.sleep(0.5)  # let the other chunk finish first
+            time.sleep(0.5)  # let the other nodes finish first
             os._exit(23)
         with open(self.log, "a") as fh:
             fh.write(f"{x}\n")
@@ -69,60 +71,65 @@ def _interrupt_on_two(x):
     return x
 
 
+def _run(sched, fn, items):
+    graph = TaskGraph()
+    for i, x in enumerate(items):
+        graph.add(TaskNode(key=f"item:{i:04d}", kind="unit", fn=fn,
+                           args=(x,), label=f"item-{x}"))
+    results = sched.run(graph)
+    return [results[node.key] for node in graph]
+
+
 class TestSerialDegrade:
     def test_serial_fallback_matches_parallel_output(self, pool_rule):
-        """Satellite fix: pool failure degrades to serial with identical
-        results — every worker dies, every chunk finishes in-process."""
+        """Pool failure degrades to serial with identical results — every
+        worker dies, every node finishes in-process."""
         pool_rule(max_retries=0, backoff_base_s=0.0)
-        ex = ParallelExecutor(2)
+        sched = GraphScheduler(2)
         items = list(range(12))
-        out = ex.map(_crash_in_workers, items, chunk_size=3)
-        assert out == [x * x for x in items]
-        assert ex.last_stats.degraded_nodes == 4
+        assert _run(sched, _crash_in_workers, items) == \
+            [x * x for x in items]
+        assert sched.last_stats.degraded_nodes == 12
 
     def test_degrade_runs_only_pending_chunks(self, tmp_path, pool_rule):
-        """Completed chunk results are reused, never recomputed."""
-        fn = _CrashFirstChunkOnce(tmp_path / "crashed", tmp_path / "log")
+        """Completed node results are reused, never recomputed."""
+        fn = _CrashFirstItemsOnce(tmp_path / "crashed", tmp_path / "log")
         pool_rule(max_retries=3, backoff_base_s=0.01)
-        ex = ParallelExecutor(2)
-        out = ex.map(fn, list(range(8)), chunk_size=4)
-        assert out == [x * x for x in range(8)]
+        sched = GraphScheduler(2)
+        assert _run(sched, fn, list(range(8))) == [x * x for x in range(8)]
         logged = sorted(int(v) for v in
                         (tmp_path / "log").read_text().split())
-        # chunk 1 (items 4-7) completed before the round-1 crash; it must
-        # appear exactly once — recomputation would double-log it
+        # nodes that completed before the round-1 crash must appear
+        # exactly once — recomputation would double-log them
         assert logged == list(range(8))
-        assert ex.last_stats.failed_rounds >= 1
+        assert sched.last_stats.failed_rounds >= 1
 
 
 class TestInjectedFaults:
     def test_crash_plan_output_bit_identical(self, pool_rule):
         faults.install_plan("executor.worker_crash=0.4,seed=3")
         pool_rule(max_retries=4, backoff_base_s=0.01)
-        ex = ParallelExecutor(3)
-        out = ex.map(math.sqrt, list(range(40)), chunk_size=4)
+        out = _run(GraphScheduler(3), math.sqrt, list(range(40)))
         serial = [math.sqrt(x) for x in range(40)]
         assert out == serial  # == is bitwise for floats from identical ops
 
     def test_hang_plan_times_out_and_recovers(self, pool_rule):
         faults.install_plan("executor.worker_hang=1.0,seed=1")
         pool_rule(max_retries=1, backoff_base_s=0.01, chunk_timeout_s=0.4)
-        ex = ParallelExecutor(2)
-        out = ex.map(_square, list(range(8)), chunk_size=2)
-        assert out == [x * x for x in range(8)]
+        sched = GraphScheduler(2)
+        assert _run(sched, _square, list(range(4))) == \
+            [x * x for x in range(4)]
         # every pool attempt hung (rate 1.0) => the serial path finished
-        assert ex.last_stats.degraded_nodes == 4
-        assert ex.last_stats.failed_rounds == 2
+        assert sched.last_stats.degraded_nodes == 4
+        assert sched.last_stats.failed_rounds == 2
 
     def test_task_error_label_survives_chaos(self, pool_rule):
-        """A deterministic task failure names its item even when pool
+        """A deterministic task failure names its node even when pool
         crashes and retries happen around it."""
         faults.install_plan("executor.worker_crash=0.3,seed=9")
         pool_rule(max_retries=3, backoff_base_s=0.01)
-        ex = ParallelExecutor(2)
         with pytest.raises(WorkerTaskError) as info:
-            ex.map(_raise_on_three, list(range(8)), chunk_size=2,
-                   labels=[f"item-{i}" for i in range(8)])
+            _run(GraphScheduler(2), _raise_on_three, list(range(8)))
         assert info.value.label == "item-3"
         assert "ValueError" in str(info.value)
 
@@ -132,9 +139,8 @@ class TestInterrupt:
         before = {id(p) for p in multiprocessing.active_children()
                   if p.is_alive()}
         pool_rule(backoff_base_s=0.01)
-        ex = ParallelExecutor(2)
         with pytest.raises(KeyboardInterrupt, match="cancelled pending"):
-            ex.map(_interrupt_on_two, list(range(8)), chunk_size=2)
+            _run(GraphScheduler(2), _interrupt_on_two, list(range(8)))
         deadline = time.monotonic() + 10
         while time.monotonic() < deadline:
             leaked = [p for p in multiprocessing.active_children()
