@@ -13,17 +13,20 @@ math).  The structural findings the study must reproduce: TC and CC give
 simulation, by construction — accumulation order), while CC-E and the
 baselines round differently.
 
-Hot-path layout: the reference output is flattened once per workload (not
-once per variant), sparse outputs densify into one reused buffer, and the
-per-element error reduction runs in-place on a second reused buffer —
-first-touch page faults on the ~quarter-GB SpGEMM comparisons dominated
-the audit before, and buffer reuse removes them without changing a single
-arithmetic operation (bit-identity is pinned by
-``tests/kernels/accuracy_digests.json``).
+Hot-path layout: the reference is prepared once per workload (not once
+per variant).  Dense outputs subtract into one reused buffer.  A sparse
+(CSR) output is compared with the sparse reference only where either one
+stores an entry: the errors land in one dense vector of rows x cols
+zeros, allocated once per table, and each variant sets back to zero only
+the positions it wrote.  The vector holds, cell for cell, what densifying
+both sides and subtracting would hold, so its mean and max are the same
+bits (pinned by ``tests/kernels/accuracy_digests.json``), while the
+SpGEMM audit's 5,300 x 5,300 outputs, 9.3% stored, are never densified.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +37,7 @@ from ..kernels import all_workloads
 from ..kernels.base import Workload
 from ..perf.cache import content_key, default_cache, package_source_token
 from ..perf.instrument import stage
+from ..sparse.csr import CsrMatrix
 
 
 __all__ = ["AUDIT_SEED", "ErrorEntry", "error_metrics", "accuracy_table",
@@ -56,15 +60,9 @@ class ErrorEntry:
     samples: int
 
 
-def _flatten(output, dense_out: np.ndarray | None = None) -> np.ndarray:
-    """Outputs may be arrays, complex arrays, or CSR matrices.
-
-    ``dense_out`` is an optional preallocated buffer for sparse
-    densification (same values, no fresh allocation).
-    """
+def _flatten(output) -> np.ndarray:
+    """Outputs may be arrays, complex arrays, or CSR matrices."""
     if hasattr(output, "to_dense"):
-        if dense_out is not None and dense_out.shape == output.shape:
-            return output.to_dense(out=dense_out).ravel()
         return output.to_dense().ravel()
     arr = np.asarray(output)
     if np.iscomplexobj(arr):
@@ -72,15 +70,89 @@ def _flatten(output, dense_out: np.ndarray | None = None) -> np.ndarray:
     return arr.astype(np.float64, copy=False).ravel()
 
 
+def _cells(m: CsrMatrix) -> np.ndarray:
+    """Each stored entry's index in the row-major flattened matrix."""
+    return m.row_of_entry() * np.int64(m.n_cols) + m.indices
+
+
+class _Reference:
+    """A reference output, prepared once to compare outputs against.
+
+    :meth:`errors` gives the absolute elementwise error of an output over
+    the flattened cells, as :func:`error_metrics` defines it.  A CSR
+    output against a CSR reference is compared at their stored positions
+    only, through :attr:`err`, a vector of rows x cols zeros: where either
+    side stores a cell it receives ``abs(got - ref)`` from the values
+    densifying would leave (the last one stored at a repeated position,
+    0.0 where absent), and it is zeroed again after the reduction.  Any
+    other pair is flattened and subtracted into a reused buffer.
+    """
+
+    def __init__(self, reference) -> None:
+        self.reference = reference
+        self.sparse = isinstance(reference, CsrMatrix)
+        if self.sparse:
+            self.err = np.zeros(reference.n_rows * reference.n_cols)
+            self.cells = _cells(reference)
+
+    @functools.cached_property
+    def _flat(self) -> np.ndarray:
+        return _flatten(self.reference)
+
+    @functools.cached_property
+    def _buf(self) -> np.ndarray:
+        return np.empty_like(self._flat)
+
+    def errors(self, output) -> tuple[float, float, int]:
+        """(average, maximum, sample count) of ``|output - reference|``."""
+        if not (self.sparse and isinstance(output, CsrMatrix)):
+            return _reduce(self._dense_err(output))
+        written = self._write_err(output)
+        metrics = _reduce(self.err)
+        for cells in written:
+            self.err[cells] = 0.0
+        return metrics
+
+    def _dense_err(self, output) -> np.ndarray:
+        got = _flatten(output)
+        if got.shape != self._flat.shape:
+            raise ValueError(f"output shape {got.shape} != reference shape "
+                             f"{self._flat.shape}")
+        np.subtract(got, self._flat, out=self._buf)
+        return np.abs(self._buf, out=self._buf)
+
+    def _write_err(self, out: CsrMatrix) -> tuple[np.ndarray, ...]:
+        """Write ``abs(got - ref)`` into :attr:`err` wherever ``out`` or the
+        reference stores a cell; returns the positions written."""
+        ref, err = self.reference, self.err
+        if out.n_rows * out.n_cols != len(err):
+            raise ValueError(f"output shape {(out.n_rows * out.n_cols,)} != "
+                             f"reference shape {(len(err),)}")
+        if out.shape == ref.shape and np.array_equal(out.indptr, ref.indptr) \
+                and np.array_equal(out.indices, ref.indices):
+            # one pattern: entries pair up, and a repeated position keeps
+            # its last entry on both sides
+            err[self.cells] = np.abs(out.data - ref.data)
+            return (self.cells,)
+        # gathers and scatters only (no fancy ``-=``, which would apply a
+        # repeated position once): a repeated position's last write wins,
+        # as it does when densifying
+        cells = _cells(out)
+        err[cells] = out.data
+        got = err[self.cells]
+        # where the reference reads 0.0; its own cells are overwritten next
+        err[cells] = np.abs(err[cells] - 0.0)
+        err[self.cells] = np.abs(got - ref.data)
+        return cells, self.cells
+
+
+def _reduce(err: np.ndarray) -> tuple[float, float, int]:
+    return float(err.mean()), float(err.max()), int(err.size)
+
+
 def error_metrics(output, reference) -> tuple[float, float, int]:
     """(average, maximum, sample count) of absolute elementwise error."""
-    got = _flatten(output)
-    ref = _flatten(reference)
-    if got.shape != ref.shape:
-        raise ValueError(
-            f"output shape {got.shape} != reference shape {ref.shape}")
-    err = np.abs(got - ref)
-    return float(err.mean()), float(err.max()), int(err.size)
+    return _Reference(reference).errors(output)
 
 
 def _accuracy_table_uncached(workload: Workload, device: Device,
@@ -93,32 +165,16 @@ def _accuracy_table_uncached(workload: Workload, device: Device,
     with stage("accuracy.prepare"):
         data = workload.prepare(case, seed=seed)
     with stage("accuracy.reference"):
-        reference = workload.reference(data)
-        ref_flat = _flatten(reference)
-    err = np.empty_like(ref_flat)
-    dense_buf = None
+        reference = _Reference(workload.reference(data))
     entries = []
     for variant in workload.variants():
         with stage(f"accuracy.execute:{variant.value}"):
             result = workload.execute(variant, data, device)
         with stage("accuracy.compare"):
-            out = result.output
-            if hasattr(out, "to_dense") and \
-                    (dense_buf is None or dense_buf.shape != out.shape):
-                dense_buf = np.empty(out.shape)
-            got = _flatten(out, dense_out=dense_buf)
-            if got.shape != ref_flat.shape:
-                raise ValueError(
-                    f"output shape {got.shape} != reference shape "
-                    f"{ref_flat.shape}")
-            # same subtract/abs/mean/max value sequence as error_metrics,
-            # routed through reused buffers
-            np.subtract(got, ref_flat, out=err)
-            np.abs(err, out=err)
-            entries.append(ErrorEntry(
-                workload=workload.name, variant=variant.value,
-                avg_error=float(err.mean()), max_error=float(err.max()),
-                samples=int(err.size)))
+            avg, mx, n = reference.errors(result.output)
+        entries.append(ErrorEntry(workload=workload.name,
+                                  variant=variant.value, avg_error=avg,
+                                  max_error=mx, samples=n))
     return entries
 
 

@@ -53,6 +53,7 @@ import numpy as np
 
 from ..perf.cache import content_key
 from ..perf.instrument import SEP, stage
+from ..sparse.csr import sorted_distinct
 from . import warp_events
 from .isa import Precision
 from .mma import _emit_sampled_m8n8k4, mma_b1_batched, mma_fp64_batched
@@ -176,7 +177,7 @@ def _ragged_buckets(lengths: np.ndarray, offsets: np.ndarray) -> tuple:
         return hit
     _CACHE_STATS["misses"] += 1
     buckets = []
-    for length in np.unique(lengths):
+    for length in sorted_distinct(lengths):
         n = int(length)
         if n <= 0:
             continue

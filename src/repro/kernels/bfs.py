@@ -40,7 +40,7 @@ from ..sparse.bitmap import (
     tile_coords,
     tile_pattern,
 )
-from ..sparse.csr import CsrMatrix
+from ..sparse.csr import CsrMatrix, sorted_distinct
 from .base import (
     MLP_IRREGULAR,
     MLP_MMA_CC,
@@ -73,7 +73,7 @@ def _csr_levels(adj: CsrMatrix, source: int) -> np.ndarray:
         pos = np.repeat(offset, counts)
         pos += np.arange(len(pos), dtype=np.int64)
         nbrs = adj.indices[pos]
-        frontier = np.unique(nbrs[levels[nbrs] < 0])
+        frontier = sorted_distinct(nbrs[levels[nbrs] < 0])
         levels[frontier] = level
     return levels
 
@@ -100,8 +100,8 @@ def _level_trace(levels: np.ndarray, tile_keys: np.ndarray,
     tile_rank = cblock * width + slice_live[slc]
     tile_rank.sort()
     # (column block, sweep) pairs a frontier activates
-    active = np.unique(np.flatnonzero(reached) // TILE_COLS * width
-                       + levels[reached] + 1)
+    active = sorted_distinct(np.flatnonzero(reached) // TILE_COLS * width
+                             + levels[reached] + 1)
     act_cb, act_sweep = np.divmod(active, width)
     gathered = (np.searchsorted(tile_rank, (act_cb + 1) * width)
                 - np.searchsorted(tile_rank, active))
@@ -320,7 +320,7 @@ class BfsWorkload(Workload):
                 diag = counts[:, rows_of_slice, rows_of_slice]
                 hit_t, hit_r = np.nonzero(diag > 0)
                 rows = slices[hit_t] * SLICE_ROWS + hit_r
-                rows = np.unique(rows[rows < n])
+                rows = sorted_distinct(rows[rows < n])
                 fresh = rows[levels[rows] < 0]
                 levels[fresh] = level
                 nxt_bits[fresh] = True

@@ -19,6 +19,12 @@ counters read only the expansion sizes (:func:`expansion_sizes`), taken
 once per matrix from the block pattern
 (:func:`repro.sparse.mbsr.block_pattern`), never the block payloads, so
 the analytic path builds no :class:`MbsrMatrix`.
+
+No output pays a closing sort.  The block variants' output blocks come
+sorted by (block row, block col) and expand to scalar CSR row-major
+(:func:`repro.sparse.mbsr.blocks_to_csr`), after the sweep's gathered
+operands are released.  The baseline (:meth:`CsrMatrix.spgemm`) and the
+reference emit row-major chunks that concatenate into the CSR arrays.
 """
 
 from __future__ import annotations
@@ -32,8 +38,8 @@ from ..gpu import warp_events
 from ..gpu.counters import KernelStats
 from ..gpu.device import Device, KernelResult
 from ..gpu.launch import LaunchPlan, execute_plan
-from ..sparse.csr import CsrMatrix, stable_order
-from ..sparse.mbsr import BLOCK, MbsrMatrix, block_pattern
+from ..sparse.csr import CsrMatrix, row_pointers, stable_order
+from ..sparse.mbsr import BLOCK, MbsrMatrix, block_pattern, blocks_to_csr
 from .base import (
     CC_EFF,
     CC_EFF_MMA,
@@ -137,11 +143,8 @@ class SpgemmWorkload(Workload):
             row = present // width
             rows.append(row + r0)
             cols.append(present - row * width + lo)
-        indptr = np.zeros(a.n_rows + 1, dtype=np.int64)
-        indptr[1:] = np.bincount(np.concatenate(rows), minlength=a.n_rows)
-        np.cumsum(indptr, out=indptr)
-        return CsrMatrix(indptr, np.concatenate(cols), np.concatenate(sums),
-                         a.shape)
+        return CsrMatrix(row_pointers(np.concatenate(rows), a.n_rows),
+                         np.concatenate(cols), np.concatenate(sums), a.shape)
 
     # ------------------------------------------------------------------
     def execute(self, variant: Variant, data: dict,
@@ -187,7 +190,20 @@ class SpgemmWorkload(Workload):
                 ablk, b_pos)
 
     def _block_spgemm(self, m: MbsrMatrix, tree: bool) -> CsrMatrix:
-        """TC/CC (``tree=False``) or CC-E (``tree=True``) block SpGEMM."""
+        """TC/CC (``tree=False``) or CC-E (``tree=True``) block SpGEMM.
+
+        The output blocks come sorted by (block row, block col), so they
+        expand to CSR row-major without a sort (:func:`blocks_to_csr`);
+        the sweep's gathered operands are released before that."""
+        key, acc = self._block_sums(m, tree)
+        brow, bcol = np.divmod(key, m.n_block_cols + 1)
+        return blocks_to_csr(row_pointers(brow, m.n_block_rows), bcol, acc,
+                             m.shape)
+
+    def _block_sums(self, m: MbsrMatrix, tree: bool
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """The output blocks of C = M @ M: their ascending keys
+        ``block_row * (n_block_cols + 1) + block_col`` and their 4x4 sums."""
         brow, bcol, ablk, bblk = self._block_products(m)
         nbc = m.n_block_cols + 1
         order, key = stable_order(brow * np.int64(nbc) + bcol)
@@ -224,19 +240,7 @@ class SpgemmWorkload(Workload):
                 step = (prods[..., 0] + prods[..., 2]) \
                     + (prods[..., 1] + prods[..., 3])
                 acc[group[sel]] += step
-        # expand accumulated blocks back to scalar CSR
-        out_key = key[uniq_mask] if len(key) else key
-        out_brow = out_key // nbc
-        out_bcol = out_key % nbc
-        nz = np.nonzero(acc.reshape(n_out, -1))
-        blk_idx, cell = nz
-        li, lj = np.divmod(cell, BLOCK)
-        rows = out_brow[blk_idx] * BLOCK + li
-        cols = out_bcol[blk_idx] * BLOCK + lj
-        vals = acc[blk_idx, li, lj]
-        keep = (rows < m.shape[0]) & (cols < m.shape[1])
-        return CsrMatrix.from_coo(rows[keep], cols[keep], vals[keep],
-                                  m.shape, sum_duplicates=False)
+        return key[uniq_mask], acc
 
     # ------------------------------------------------------------------
     def analytic_stats(self, variant: Variant,

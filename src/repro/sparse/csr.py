@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CsrMatrix", "sorted_distinct", "stable_order"]
+__all__ = ["CsrMatrix", "row_pointers", "sorted_distinct", "stable_order"]
 
 #: fused sort keys stay below 2**62, clear of the int64 sign bit
 _FUSED_KEY_BITS = 62
@@ -65,6 +65,15 @@ def sorted_distinct(keys: np.ndarray) -> np.ndarray:
     keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
     keys.sort()
     return keys[np.r_[True, keys[1:] != keys[:-1]]]
+
+
+def row_pointers(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """The CSR ``indptr`` whose row ``r`` holds one entry per occurrence
+    of ``r`` in ``rows``."""
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    indptr[1:] = np.bincount(rows, minlength=n_rows)
+    np.cumsum(indptr, out=indptr)
+    return indptr
 
 
 def _row_cuts(row_prod: np.ndarray,
@@ -145,11 +154,8 @@ class CsrMatrix:
             keys = keys[first]
         # the sorted keys decode to the sorted coordinates
         rows = keys // n_cols
-        cols = keys - rows * n_cols
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        indptr[1:] = np.bincount(rows, minlength=n_rows)
-        np.cumsum(indptr, out=indptr)
-        return cls(indptr, cols, vals, shape)
+        return cls(row_pointers(rows, n_rows), keys - rows * n_cols, vals,
+                   shape)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "CsrMatrix":
@@ -181,18 +187,9 @@ class CsrMatrix:
         return np.repeat(np.arange(self.n_rows, dtype=np.int64),
                          self.row_lengths())
 
-    def to_dense(self, out: np.ndarray | None = None) -> np.ndarray:
-        """Dense copy; ``out`` reuses a caller-held buffer (the accuracy
-        audit densifies quarter-GB outputs repeatedly — a fresh zeros()
-        pays first-touch page faults every time)."""
-        if out is None:
-            dense = np.zeros(self.shape)
-        else:
-            if out.shape != self.shape:
-                raise ValueError(
-                    f"out shape {out.shape} != matrix shape {self.shape}")
-            dense = out
-            dense[...] = 0.0
+    def to_dense(self) -> np.ndarray:
+        """Dense copy (a repeated position keeps its last stored value)."""
+        dense = np.zeros(self.shape)
         dense[self.row_of_entry(), self.indices] = self.data
         return dense
 
@@ -305,27 +302,25 @@ class CsrMatrix:
                ) -> "CsrMatrix":
         """Row-merge SpGEMM ``self @ other`` (expansion + sort + compress),
         processed in row chunks to bound memory; any row-aligned chunking
-        yields bit-identical results (tested)."""
-        out_rows: list[np.ndarray] = []
-        out_cols: list[np.ndarray] = []
-        out_vals: list[np.ndarray] = []
+        yields bit-identical results (tested).  Each chunk's compressed
+        entries come out row-major with distinct keys, and rows never
+        straddle a chunk, so the concatenated chunks are the CSR arrays
+        themselves, with no closing sort."""
+        rows: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        cols: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        vals: list[np.ndarray] = [np.empty(0)]
         for r0, _, row, col, val in self.expand_chunks(other, chunk_rows):
             # compress duplicates
             order, key = stable_order(row * np.int64(other.n_cols) + col)
             boundaries = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-            out_vals.append(np.add.reduceat(val[order], boundaries))
+            vals.append(np.add.reduceat(val[order], boundaries))
             key = key[boundaries]
-            rows = key // other.n_cols
-            out_rows.append(rows + r0)
-            out_cols.append(key - rows * other.n_cols)
-        if not out_rows:
-            return CsrMatrix(np.zeros(self.n_rows + 1, dtype=np.int64),
-                             np.empty(0, dtype=np.int64), np.empty(0),
-                             (self.n_rows, other.n_cols))
-        return CsrMatrix.from_coo(
-            np.concatenate(out_rows), np.concatenate(out_cols),
-            np.concatenate(out_vals), (self.n_rows, other.n_cols),
-            sum_duplicates=False)
+            row = key // other.n_cols
+            rows.append(row + r0)
+            cols.append(key - row * other.n_cols)
+        return CsrMatrix(row_pointers(np.concatenate(rows), self.n_rows),
+                         np.concatenate(cols), np.concatenate(vals),
+                         (self.n_rows, other.n_cols))
 
     # ------------------------------------------------------------ helpers
     def _check_x(self, x: np.ndarray) -> np.ndarray:

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csr import CsrMatrix, sorted_distinct
+from .csr import CsrMatrix, row_pointers, sorted_distinct
 
-__all__ = ["MbsrMatrix", "BLOCK", "block_pattern"]
+__all__ = ["MbsrMatrix", "BLOCK", "block_pattern", "blocks_to_csr"]
 
 BLOCK = 4
 
@@ -44,14 +44,47 @@ def block_pattern(a: CsrMatrix) -> tuple[np.ndarray, np.ndarray]:
 
     Only the distinct block keys matter, so no stable sort is needed."""
     nbr = (a.n_rows + BLOCK - 1) // BLOCK
-    indptr = np.zeros(nbr + 1, dtype=np.int64)
     if a.nnz == 0:
-        return indptr, np.empty(0, dtype=np.int64)
+        return np.zeros(nbr + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
     keys, key_cols = _block_keys(a)
     brow, bcol = np.divmod(sorted_distinct(keys), key_cols)
-    indptr[1:] = np.bincount(brow, minlength=nbr)
-    np.cumsum(indptr, out=indptr)
-    return indptr, bcol
+    return row_pointers(brow, nbr), bcol
+
+
+def blocks_to_csr(block_indptr: np.ndarray, block_indices: np.ndarray,
+                  blocks: np.ndarray, shape: tuple[int, int]) -> CsrMatrix:
+    """Expand 4x4 ``blocks`` laid out by ``(block_indptr, block_indices)``
+    to element CSR, row-major and without a sort.
+
+    Block columns must ascend within each block row, as
+    :func:`block_pattern` and the block SpGEMM emit them.  Scalar row
+    ``4 R + i`` is then local row ``i`` of block row ``R``'s blocks in
+    block order, so every 4-wide block segment's CSR position follows
+    from its block row's first block and block count.  Exact zeros (of
+    either sign) and the cells past the fringe are dropped."""
+    n_rows, n_cols = shape
+    n_blocks = len(block_indices)
+    first, count = block_indptr[:-1], np.diff(block_indptr)
+    brow = np.repeat(np.arange(len(count), dtype=np.int64), count)
+    rank = np.arange(n_blocks, dtype=np.int64) - first[brow]
+    local = np.arange(BLOCK, dtype=np.int64)
+    # the 4-wide segment (block of rank j in block row R, local row i)
+    # lands at BLOCK * first[R] + i * count[R] + j in row-major order
+    dest = (BLOCK * first[brow] + rank)[:, np.newaxis] \
+        + local * count[brow][:, np.newaxis]
+    seg = np.empty(n_blocks * BLOCK, dtype=np.int64)
+    seg[dest.ravel()] = np.arange(n_blocks * BLOCK, dtype=np.int64)
+    # the segment each scalar row starts at; rows past the fringe are last
+    row_start = np.r_[(BLOCK * first[:, np.newaxis]
+                       + local * count[:, np.newaxis]).ravel(),
+                      n_blocks * BLOCK]
+    seg = seg[:row_start[n_rows]]
+    vals = blocks.reshape(-1, BLOCK)[seg]
+    cols = (block_indices[seg // BLOCK] * BLOCK)[:, np.newaxis] + local
+    keep = (vals != 0.0) & (cols < n_cols)
+    kept = np.r_[0, np.cumsum(keep.sum(axis=1))]
+    return CsrMatrix(kept[row_start[:n_rows + 1]], cols[keep], vals[keep],
+                     shape)
 
 
 @dataclass
@@ -115,17 +148,7 @@ class MbsrMatrix:
                          np.diff(self.block_indptr))
 
     def to_csr(self) -> CsrMatrix:
-        """Expand back to element CSR (drops explicit stored zeros)."""
-        if self.n_blocks == 0:
-            return CsrMatrix(np.zeros(self.shape[0] + 1, dtype=np.int64),
-                             np.empty(0, dtype=np.int64), np.empty(0),
-                             self.shape)
-        brow = self.block_row_of_block()
-        rr, cc = np.nonzero(self.blocks.reshape(self.n_blocks, -1))
-        local_r, local_c = np.divmod(cc, BLOCK)
-        rows = brow[rr] * BLOCK + local_r
-        cols = self.block_indices[rr] * BLOCK + local_c
-        vals = self.blocks[rr, local_r, local_c]
-        keep = (rows < self.shape[0]) & (cols < self.shape[1])
-        return CsrMatrix.from_coo(rows[keep], cols[keep], vals[keep],
-                                  self.shape, sum_duplicates=False)
+        """Expand back to element CSR (drops explicit stored zeros), row-major
+        without a sort (:func:`blocks_to_csr`)."""
+        return blocks_to_csr(self.block_indptr, self.block_indices,
+                             self.blocks, self.shape)

@@ -1,6 +1,12 @@
 """Tests for quadrants, accuracy, roofline, EDP, features, and dwarfs —
 the analyses behind Figures 2, 7-11 and Tables 6-7."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +27,7 @@ from repro.analysis import (
     quadrant_geomeans,
     suite_roofline,
 )
+from repro.analysis.accuracy import _accuracy_table_uncached
 from repro.analysis.quadrants import _quadrant_of
 from repro.gpu import Device
 from repro.kernels import (
@@ -29,12 +36,26 @@ from repro.kernels import (
     Quadrant,
     ReductionWorkload,
     ScanWorkload,
+    SpgemmWorkload,
     all_workloads,
     get_workload,
 )
 from repro.sparse.csr import CsrMatrix
 
 DEV = Device("H200")
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: the audit-scale SpGEMM table in a fresh interpreter: its cell count
+#: and the process's peak RSS
+_SPGEMM_RSS_SCRIPT = """
+import json, resource
+from repro.analysis.accuracy import _accuracy_table_uncached
+from repro.gpu.device import Device
+from repro.kernels.spgemm import SpgemmWorkload
+rows = _accuracy_table_uncached(SpgemmWorkload(), Device("H200"))
+print(json.dumps({"cells": rows[0].samples, "maxrss_kib":
+                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
 
 
 class TestQuadrants:
@@ -107,6 +128,30 @@ class TestAccuracy:
         assert set(tables) == {"gemv", "reduction"}
         for w in workloads[:2]:
             assert tables[w.name] == accuracy_table(w, DEV)
+
+    def test_sparse_compares_never_densify(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a CSR output was densified")
+
+        monkeypatch.setattr(CsrMatrix, "to_dense", refuse)
+        rows = _accuracy_table_uncached(SpgemmWorkload(exec_scale=0.05), DEV)
+        assert [e.variant for e in rows] == ["baseline", "tc", "cc", "cce"]
+        assert rows[1].avg_error == rows[2].avg_error
+        a = CsrMatrix.from_coo([0, 1], [1, 0], [1.0, 2.0], (2, 2))
+        b = CsrMatrix.from_coo([0, 1, 1], [1, 0, 1], [1.5, 2.0, 4.0], (2, 2))
+        assert error_metrics(a, b) == (1.125, 4.0, 4)
+
+    @pytest.mark.slow
+    def test_audit_scale_spgemm_table_peak_rss(self):
+        """The audit-scale SpGEMM table peaks under four dense copies of
+        its 5,300 x 5,300 output (899 MB); densifying both sides to
+        compare them peaks at ~1.24 GB."""
+        env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_CACHE="0")
+        proc = subprocess.run([sys.executable, "-c", _SPGEMM_RSS_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=300, check=True)
+        got = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert got["maxrss_kib"] * 1024 < 4 * 8 * got["cells"], got
 
 
 class TestRoofline:

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import spgemm
 from repro.sparse.bitmap import SLICE_ROWS, TILE_COLS, BitmapGraph, tile_pattern
-from repro.sparse.csr import CsrMatrix, stable_order
+from repro.sparse.csr import CsrMatrix, sorted_distinct, stable_order
 
 
 def random_csr(n_rows=50, n_cols=40, density=0.1, seed=0):
@@ -191,6 +191,28 @@ class TestStableOrder:
     def test_widest_fused_key(self):
         # 60 key bits + 2 position bits fill the 62-bit budget exactly
         self._check([(1 << 60) - 1, 0, (1 << 60) - 1, 1])
+
+
+class TestSortedDistinct:
+    @given(st.lists(st.integers(-(2**62), 2**62), max_size=300)
+           | st.lists(st.integers(-5, 5), max_size=300),
+           st.sampled_from(["as drawn", "sorted", "all equal"]))
+    @settings(max_examples=80, deadline=None)
+    @example([], "as drawn")
+    @example([7], "as drawn")
+    @example([-3, -3, -1, -3], "as drawn")
+    def test_property_equals_np_unique(self, keys, arrangement):
+        keys = np.asarray(keys, dtype=np.int64)
+        if arrangement == "sorted":
+            keys = np.sort(keys)
+        elif arrangement == "all equal" and len(keys):
+            keys = np.full(len(keys), keys[0])
+        before = keys.copy()
+        got = sorted_distinct(keys)
+        want = np.unique(keys)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(keys, before)
 
 
 class TestSpgemmReference:
@@ -444,3 +466,55 @@ class TestSpgemm:
         b, db = random_csr(18, 12, 0.2, seed=seed + 1)
         np.testing.assert_allclose(a.spgemm(b).to_dense(), da @ db,
                                    atol=1e-12)
+
+
+def _spgemm_from_coo_reference(a, b, chunk_rows):
+    """``CsrMatrix.spgemm`` as built before: the same chunked expansion and
+    compression, then ``from_coo`` re-sorting every entry."""
+    rows, cols, vals = [], [], []
+    for r0, _, row, col, val in a.expand_chunks(b, chunk_rows):
+        order, key = stable_order(row * np.int64(b.n_cols) + col)
+        bounds = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        vals.append(np.add.reduceat(val[order], bounds))
+        key = key[bounds]
+        rows.append(key // b.n_cols + r0)
+        cols.append(key % b.n_cols)
+    shape = (a.n_rows, b.n_cols)
+    if not rows:
+        return CsrMatrix(np.zeros(a.n_rows + 1, dtype=np.int64),
+                         np.empty(0, dtype=np.int64), np.empty(0), shape)
+    return CsrMatrix.from_coo(np.concatenate(rows), np.concatenate(cols),
+                              np.concatenate(vals), shape,
+                              sum_duplicates=False)
+
+
+@st.composite
+def spgemm_operands(draw):
+    """``(a, b, chunk_rows)``: empty rows anywhere on either side, so some
+    rows (or all) have no products, unsorted and repeated columns."""
+    n, k, m = (draw(st.integers(0, 30)), draw(st.integers(1, 30)),
+               draw(st.integers(1, 30)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+
+    def operand(shape, empty_share):
+        lengths = np.where(rng.random(shape[0]) < empty_share, 0,
+                           rng.integers(1, 9, shape[0]))
+        indptr = np.r_[0, np.cumsum(lengths)].astype(np.int64)
+        indices = rng.integers(0, shape[1], int(indptr[-1]))
+        return CsrMatrix(indptr, indices, rng.uniform(-2, 2, len(indices)),
+                         shape)
+
+    shares = st.sampled_from([0.0, 0.5, 1.0])
+    return (operand((n, k), draw(shares)), operand((k, m), draw(shares)),
+            draw(st.integers(1, 12)))
+
+
+class TestSpgemmAssembly:
+    @given(spgemm_operands())
+    @settings(max_examples=80, deadline=None)
+    def test_property_matches_from_coo_build(self, operands):
+        a, b, chunk_rows = operands
+        got = a.spgemm(b, chunk_rows=chunk_rows)
+        want = _spgemm_from_coo_reference(a, b, chunk_rows)
+        _assert_same_bits(got, (want.indptr, want.indices, want.data))
+        assert got.shape == want.shape
