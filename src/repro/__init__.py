@@ -14,6 +14,10 @@ Public API tour
 * :mod:`repro.harness` — runners and report formatting for the
   figure/table regenerators in ``benchmarks/``.
 
+Every package exports lazily (:mod:`repro._lazy`): ``import repro`` loads
+no subpackage, and a name's module is imported on its first use, so a
+command pays at start-up only for the modules it reaches.
+
 Quickstart
 ----------
 >>> from repro.gpu import Device
@@ -24,23 +28,16 @@ Quickstart
 True
 """
 
-from . import analysis, datasets, gpu, harness, kernels, sparse, suites
-from .gpu import Device
-from .kernels import Variant, all_workloads, get_workload
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "analysis",
-    "datasets",
-    "gpu",
-    "harness",
-    "kernels",
-    "sparse",
-    "suites",
-    "Device",
-    "Variant",
-    "all_workloads",
-    "get_workload",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "analysis": "analysis", "datasets": "datasets", "gpu": "gpu",
+    "harness": "harness", "kernels": "kernels", "sparse": "sparse",
+    "suites": "suites",
+    "Device": "gpu",
+    "Variant": "kernels", "all_workloads": "kernels",
+    "get_workload": "kernels",
+})
+__all__ += ["__version__"]

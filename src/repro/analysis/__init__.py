@@ -1,98 +1,41 @@
 """Characterization analyses: quadrants, accuracy, roofline, EDP, PCA,
 feature extraction, and dwarf coverage (Sections 4 and 7-10)."""
 
-from .accuracy import ErrorEntry, accuracy_table, error_metrics
-from .dwarfs import (
-    DWARF_ORDER,
-    FEATURE_ORDER,
-    RODINIA,
-    SHOC,
-    SuiteCoverage,
-    coverage_table,
-    cubie_coverage,
-)
-from .edp import EdpEntry, edp_study, power_trace_study, quadrant_geomeans
-from .features import (
-    GRAPH_FEATURE_NAMES,
-    MATRIX_FEATURE_NAMES,
-    graph_features,
-    matrix_features,
-)
-from .mixed_precision import (
-    RefinementResult,
-    blocked_cholesky,
-    iterative_refinement,
-    modeled_factorization_time,
-    solve_cholesky,
-)
-from .observations import ObservationResult, verify_all
-from .ozaki import (
-    OzakiReport,
-    compare_schemes,
-    modeled_ozaki_time,
-    ozaki_gemm,
-    split_fp64,
-)
-from .pca import PcaResult, coverage_stats, pca, standardize
-from .representativeness import CaseProfile, Regime, classify_case, workload_regimes
-from .quadrants import (
-    FULL_THRESHOLD,
-    UtilizationProfile,
-    classify,
-    classify_suite,
-)
-from .roofline import Roofline, RooflinePoint, suite_roofline, workload_point
-from .suitability import KernelSketch, Prediction, Verdict, predict
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ErrorEntry",
-    "accuracy_table",
-    "error_metrics",
-    "DWARF_ORDER",
-    "FEATURE_ORDER",
-    "RODINIA",
-    "SHOC",
-    "SuiteCoverage",
-    "coverage_table",
-    "cubie_coverage",
-    "EdpEntry",
-    "edp_study",
-    "power_trace_study",
-    "quadrant_geomeans",
-    "GRAPH_FEATURE_NAMES",
-    "MATRIX_FEATURE_NAMES",
-    "graph_features",
-    "matrix_features",
-    "RefinementResult",
-    "blocked_cholesky",
-    "iterative_refinement",
-    "modeled_factorization_time",
-    "solve_cholesky",
-    "ObservationResult",
-    "verify_all",
-    "OzakiReport",
-    "compare_schemes",
-    "modeled_ozaki_time",
-    "ozaki_gemm",
-    "split_fp64",
-    "PcaResult",
-    "coverage_stats",
-    "pca",
-    "standardize",
-    "CaseProfile",
-    "Regime",
-    "classify_case",
-    "workload_regimes",
-    "FULL_THRESHOLD",
-    "UtilizationProfile",
-    "classify",
-    "classify_suite",
-    "Roofline",
-    "RooflinePoint",
-    "suite_roofline",
-    "workload_point",
-    "KernelSketch",
-    "Prediction",
-    "Verdict",
-    "predict",
-]
+# bound now: ``pca`` names both a function and its submodule, and the
+# first import of ``repro.analysis.pca`` would bind the module over a
+# lazy export
+from .pca import pca as pca
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ErrorEntry": "accuracy", "accuracy_table": "accuracy",
+    "error_metrics": "accuracy",
+    "DWARF_ORDER": "dwarfs", "FEATURE_ORDER": "dwarfs", "RODINIA": "dwarfs",
+    "SHOC": "dwarfs", "SuiteCoverage": "dwarfs", "coverage_table": "dwarfs",
+    "cubie_coverage": "dwarfs",
+    "EdpEntry": "edp", "edp_study": "edp", "power_trace_study": "edp",
+    "quadrant_geomeans": "edp",
+    "GRAPH_FEATURE_NAMES": "features", "MATRIX_FEATURE_NAMES": "features",
+    "graph_features": "features", "matrix_features": "features",
+    "RefinementResult": "mixed_precision",
+    "blocked_cholesky": "mixed_precision",
+    "iterative_refinement": "mixed_precision",
+    "modeled_factorization_time": "mixed_precision",
+    "solve_cholesky": "mixed_precision",
+    "ObservationResult": "observations", "verify_all": "observations",
+    "OzakiReport": "ozaki", "compare_schemes": "ozaki",
+    "modeled_ozaki_time": "ozaki", "ozaki_gemm": "ozaki",
+    "split_fp64": "ozaki",
+    "PcaResult": "pca", "coverage_stats": "pca", "standardize": "pca",
+    "CaseProfile": "representativeness", "Regime": "representativeness",
+    "classify_case": "representativeness",
+    "workload_regimes": "representativeness",
+    "FULL_THRESHOLD": "quadrants", "UtilizationProfile": "quadrants",
+    "classify": "quadrants", "classify_suite": "quadrants",
+    "Roofline": "roofline", "RooflinePoint": "roofline",
+    "suite_roofline": "roofline", "workload_point": "roofline",
+    "KernelSketch": "suitability", "Prediction": "suitability",
+    "Verdict": "suitability", "predict": "suitability",
+})
+__all__ += ["pca"]

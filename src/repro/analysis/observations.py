@@ -16,17 +16,22 @@ import numpy as np
 
 from ..gpu.device import Device
 from ..graph import GraphScheduler, TaskGraph, TaskNode
-from ..kernels.base import (Quadrant, Variant, Workload, install_stats,
-                            stats_node)
-from ..kernels import all_workloads
+from ..kernels.base import (Quadrant, Variant, Workload, all_workloads,
+                            install_stats, stats_node)
 from ..perf.cache import content_key, default_cache, package_source_token
 from ..perf.instrument import stage
+from ..suites.metrics import suite_metric_points
 from .accuracy import ErrorEntry, accuracy_nodes
 from .edp import edp_study, quadrant_geomeans
+from .pca import pca, standardize
 from .quadrants import classify
 
 __all__ = ["ObservationResult", "build_observations_graph", "verify_all",
            "OBSERVATIONS"]
+
+# the suite's modules load here, at import: a command pays for them at
+# start-up, before any graph forks its pool workers or runs a node
+all_workloads()
 
 
 @dataclass
@@ -204,8 +209,6 @@ def observation_8(workloads, devices) -> ObservationResult:
 
 def observation_9(workloads, devices) -> ObservationResult:
     """O9: Cubie spans a wider behavior space than Rodinia/SHOC."""
-    from ..suites import suite_metric_points
-    from .pca import pca, standardize
     h200 = next(d for d in devices if d.spec.name == "H200")
     points = suite_metric_points(workloads, h200)
     z, _, _ = standardize(np.stack([p.values for p in points]))

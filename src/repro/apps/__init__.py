@@ -7,31 +7,14 @@ pusher (PiC) — each with modeled device costs so the paper's
 application-researcher questions can be asked end to end.
 """
 
-from .amg import (
-    AmgHierarchy,
-    AmgLevel,
-    build_hierarchy,
-    modeled_setup_cost,
-    modeled_vcycle_cost,
-    solve,
-    v_cycle,
-)
-from .cg import CgResult, conjugate_gradient, modeled_iteration_cost
-from .plasma import PlasmaSimulation
-from .wave import WaveSimulation, cfl_limit
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AmgHierarchy",
-    "AmgLevel",
-    "build_hierarchy",
-    "modeled_setup_cost",
-    "modeled_vcycle_cost",
-    "solve",
-    "v_cycle",
-    "CgResult",
-    "conjugate_gradient",
-    "modeled_iteration_cost",
-    "PlasmaSimulation",
-    "WaveSimulation",
-    "cfl_limit",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AmgHierarchy": "amg", "AmgLevel": "amg", "build_hierarchy": "amg",
+    "modeled_setup_cost": "amg", "modeled_vcycle_cost": "amg", "solve": "amg",
+    "v_cycle": "amg",
+    "CgResult": "cg", "conjugate_gradient": "cg",
+    "modeled_iteration_cost": "cg",
+    "PlasmaSimulation": "plasma",
+    "WaveSimulation": "wave", "cfl_limit": "wave",
+})

@@ -34,28 +34,14 @@ honour a checked-in suppression baseline (``check_baseline.json``), and are
 wired into CI through the ``repro check`` CLI subcommand.
 """
 
-from .dataflow import PackageGraph
-from .determinism import analyze_package
-from .findings import (
-    Baseline,
-    Finding,
-    Suppression,
-    apply_baseline,
-    dedupe_findings,
-)
-from .hazards import WarpSanitizer
-from .runner import CheckReport, default_baseline_path, run_check
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Finding",
-    "Suppression",
-    "Baseline",
-    "apply_baseline",
-    "dedupe_findings",
-    "PackageGraph",
-    "analyze_package",
-    "WarpSanitizer",
-    "CheckReport",
-    "run_check",
-    "default_baseline_path",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "PackageGraph": "dataflow",
+    "analyze_package": "determinism",
+    "Baseline": "findings", "Finding": "findings", "Suppression": "findings",
+    "apply_baseline": "findings", "dedupe_findings": "findings",
+    "WarpSanitizer": "hazards",
+    "CheckReport": "runner", "default_baseline_path": "runner",
+    "run_check": "runner",
+})

@@ -16,9 +16,15 @@ boundaries, so it is extracted and generalized here:
 * :meth:`PackageGraph.resolve_call` — best-effort resolution of one
   ``ast.Call`` to the :class:`FunctionInfo` it invokes, following local
   defs, ``self.method`` (with one level of base-class lookup), imported
-  package symbols (including ``__init__`` re-exports), class constructors
-  (to ``__init__``), and ``TABLE[i](...)`` dispatch through indexed
-  tables.
+  package symbols (including ``__init__`` re-exports, eager or lazy),
+  class constructors (to ``__init__``), and ``TABLE[i](...)`` dispatch
+  through indexed tables.
+
+A package ``__init__`` that re-exports lazily declares a literal
+``{name: submodule}`` map passed to ``lazy_exports``
+(:mod:`repro._lazy`); :func:`_collect_lazy_exports` reads each entry as
+the ``from .submodule import name`` line it replaces, so a call through
+a lazy re-export resolves to the defining function.
 
 Everything is derived from source text alone and iterated in sorted
 order, so two runs over identical sources produce identical graphs — a
@@ -205,6 +211,29 @@ def _collect_globals(minfo: ModuleInfo) -> None:
             minfo.mutated_globals.update(node.names)
 
 
+def _collect_lazy_exports(minfo: ModuleInfo) -> None:
+    """Module-level ``... = lazy_exports(__name__, {name: submodule})``:
+    each entry binds ``name`` as ``from .submodule import name`` would
+    (an entry naming its own submodule binds the submodule)."""
+    for node in minfo.tree.body:
+        if not (isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and len(node.value.args) == 2
+                and isinstance(node.value.args[1], ast.Dict)):
+            continue
+        func = resolve_dotted(node.value.func, minfo.imports)
+        if func is None or func.rsplit(".", 1)[-1] != "lazy_exports":
+            continue
+        table = node.value.args[1]
+        for key, value in zip(table.keys, table.values):
+            if isinstance(key, ast.Constant) and isinstance(key.value, str) \
+                    and isinstance(value, ast.Constant) \
+                    and isinstance(value.value, str):
+                name, sub = key.value, value.value
+                minfo.imports.setdefault(
+                    name, f".{sub}" if sub == name else f".{sub}.{name}")
+
+
 def _collect_dispatch_tables(minfo: ModuleInfo) -> None:
     """Module-level ``NAME = (f, g, ...)`` / ``{...: f}`` tables whose
     members are local module-level functions."""
@@ -266,6 +295,7 @@ class PackageGraph:
         resolver.visit(tree)
         minfo = ModuleInfo(relpath=relpath, tree=tree,
                            imports=resolver.names)
+        _collect_lazy_exports(minfo)
         _Indexer(minfo).walk(tree, "", None, None)
         _collect_globals(minfo)
         _collect_dispatch_tables(minfo)

@@ -35,13 +35,9 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis.accuracy import accuracy_tables
-from .analysis.quadrants import classify
-from .analysis.roofline import suite_roofline
-from .analysis.suitability import KernelSketch, predict
-from .gpu.device import Device
-from .gpu.specs import get_gpu
-from .harness.artifact import full_evaluation, quick_test
+# Each command imports what it runs, so a process loads only the modules
+# its command reaches: ``--help`` loads no NumPy, and ``query`` loads it
+# only to check a workload name.  The helpers imported here are pure Python.
 from .harness.report import (
     format_seconds,
     format_si,
@@ -49,20 +45,22 @@ from .harness.report import (
     format_stage_timings,
     format_table,
 )
-from .harness.runner import run_performance, speedup_summary
-from .kernels import Variant, all_workloads, get_workload
 from .perf.instrument import record_stage, stage, stage_meta, stage_timings
 
 __all__ = ["main", "build_parser"]
 
 
 def _select_workloads(names: list[str] | None):
+    from .kernels.base import all_workloads, get_workload
     if not names:
         return all_workloads()
     return [get_workload(n) for n in names]
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
+    from .gpu.device import Device
+    from .harness.runner import run_performance, speedup_summary
+    from .kernels.base import Variant
     workloads = _select_workloads(args.workload)
     devices = [Device(g) for g in args.gpu]
     records = run_performance(workloads=workloads, devices=devices,
@@ -83,6 +81,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
 def cmd_power(args: argparse.Namespace) -> int:
     from .analysis.edp import edp_study
+    from .gpu.device import Device
     device = Device(args.gpu[0])
     rows = []
     for w in _select_workloads(args.workload):
@@ -96,6 +95,8 @@ def cmd_power(args: argparse.Namespace) -> int:
 
 
 def cmd_accuracy(args: argparse.Namespace) -> int:
+    from .analysis.accuracy import accuracy_tables
+    from .gpu.device import Device
     device = Device(args.gpu[0])
     workloads = _select_workloads(args.workload)
     tables = accuracy_tables(workloads, device,
@@ -111,6 +112,7 @@ def cmd_accuracy(args: argparse.Namespace) -> int:
 
 
 def cmd_quadrants(args: argparse.Namespace) -> int:
+    from .analysis.quadrants import classify
     rows = []
     for w in _select_workloads(args.workload):
         p = classify(w)
@@ -123,6 +125,8 @@ def cmd_quadrants(args: argparse.Namespace) -> int:
 
 
 def cmd_roofline(args: argparse.Namespace) -> int:
+    from .analysis.roofline import suite_roofline
+    from .gpu.device import Device
     device = Device(args.gpu[0])
     roof = suite_roofline(_select_workloads(args.workload), device)
     rows = [[p.workload, p.variant, f"{p.intensity:.3g}",
@@ -135,6 +139,7 @@ def cmd_roofline(args: argparse.Namespace) -> int:
 
 
 def cmd_quicktest(args: argparse.Namespace) -> int:
+    from .harness.artifact import quick_test
     written = quick_test(args.out, gpu=args.gpu[0])
     for name, path in written.items():
         print(f"{name}: {path}")
@@ -142,6 +147,7 @@ def cmd_quicktest(args: argparse.Namespace) -> int:
 
 
 def cmd_full(args: argparse.Namespace) -> int:
+    from .harness.artifact import full_evaluation
     written = full_evaluation(args.out, gpu=args.gpu[0])
     for name, path in written.items():
         print(f"{name}: {path}")
@@ -160,6 +166,8 @@ def cmd_observations(args: argparse.Namespace) -> int:
 
 
 def cmd_suitability(args: argparse.Namespace) -> int:
+    from .analysis.suitability import KernelSketch, predict
+    from .gpu.specs import get_gpu
     sketch = KernelSketch(
         name=args.name,
         essential_flops=args.flops,
@@ -373,11 +381,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     from .serve import ProtocolError, ServeClient, ServeConnectionError
-    from .serve.server import run_query_locally
 
     params = _parse_query_params(args.param)
     try:
         if args.local:
+            from .serve.server import run_query_locally
             resp = run_query_locally(args.kind, params,
                                      deadline_s=args.deadline,
                                      fresh=args.fresh)
@@ -519,11 +527,13 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     import hashlib
 
+    from .gpu.device import Device
     from .harness.checkpoint import (
         SweepJournal,
         resumable_sweep,
         serialize_payload,
     )
+    from .kernels.base import Variant
 
     if args.resume and not args.journal:
         raise SystemExit("--resume needs --journal pointing at the "

@@ -1,38 +1,14 @@
 """Deterministic input generation: LINPACK-style LCG randomness, synthetic
 SuiteSparse stand-ins (Tables 3-4), and population sweeps (Figure 10)."""
 
-from .graphs import (
-    BFS_GRAPHS,
-    GraphInfo,
-    generate_graph,
-    graph_info,
-    graph_to_csr,
-    kronecker_edges,
-    mycielskian,
-)
-from .populations import graph_population, matrix_population
-from .suitesparse import (
-    SPMV_MATRICES,
-    MatrixInfo,
-    generate_matrix,
-    matrix_info,
-)
-from .synthetic import Lcg, default_rng
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BFS_GRAPHS",
-    "GraphInfo",
-    "generate_graph",
-    "graph_info",
-    "graph_to_csr",
-    "kronecker_edges",
-    "mycielskian",
-    "graph_population",
-    "matrix_population",
-    "SPMV_MATRICES",
-    "MatrixInfo",
-    "generate_matrix",
-    "matrix_info",
-    "Lcg",
-    "default_rng",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "BFS_GRAPHS": "graphs", "GraphInfo": "graphs", "generate_graph": "graphs",
+    "graph_info": "graphs", "graph_to_csr": "graphs",
+    "kronecker_edges": "graphs", "mycielskian": "graphs",
+    "graph_population": "populations", "matrix_population": "populations",
+    "SPMV_MATRICES": "suitesparse", "MatrixInfo": "suitesparse",
+    "generate_matrix": "suitesparse", "matrix_info": "suitesparse",
+    "Lcg": "synthetic", "default_rng": "synthetic",
+})

@@ -15,7 +15,7 @@ status``, ``repro serve --token/--shard-id/--persist``, ``repro loadgen
 --router N``.  Wire and failure semantics: docs/SERVE.md
 ("The distributed tier").
 
-Import discipline: this package eagerly re-exports only the leaf modules
+Import discipline: this package re-exports only the leaf modules
 (:mod:`~repro.fabric.auth`, :mod:`~repro.fabric.ring`,
 :mod:`~repro.fabric.store`), which :mod:`repro.serve` itself imports
 lazily at runtime.  The router and cluster layers import serve
@@ -24,12 +24,10 @@ lazily at runtime.  The router and cluster layers import serve
 serve <-> fabric import graph acyclic.
 """
 
-from .auth import Authenticator
-from .ring import HashRing
-from .store import ServedResultStore
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Authenticator",
-    "HashRing",
-    "ServedResultStore",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Authenticator": "auth",
+    "HashRing": "ring",
+    "ServedResultStore": "store",
+})

@@ -15,35 +15,19 @@ same seeds, dropped connections re-ask idempotent content-keyed queries.
 The chaos-smoke CI job enforces this against the recorded digests.
 """
 
-from .plan import (
-    DEFAULT_SEED,
-    ENV_VAR,
-    FaultPlan,
-    FaultPlanError,
-    active_plan,
-    clear_plan,
-    fault_stats,
-    install_plan,
-    parse_plan,
-    reset_fault_state,
-    site,
-)
-from .registry import FAULT_SITES, FaultSite, SITE_NAMES, is_registered
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_SEED",
-    "ENV_VAR",
-    "FAULT_SITES",
-    "FaultPlan",
-    "FaultPlanError",
-    "FaultSite",
-    "SITE_NAMES",
-    "active_plan",
-    "clear_plan",
-    "fault_stats",
-    "install_plan",
-    "is_registered",
-    "parse_plan",
-    "reset_fault_state",
-    "site",
-]
+# bound now: instrumented paths ask ``faults.site`` inside graph nodes
+# and pool workers, where a first import would compile the plan again in
+# every worker
+from .plan import site as site
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "DEFAULT_SEED": "plan", "ENV_VAR": "plan", "FaultPlan": "plan",
+    "FaultPlanError": "plan", "active_plan": "plan", "clear_plan": "plan",
+    "fault_stats": "plan", "install_plan": "plan", "parse_plan": "plan",
+    "reset_fault_state": "plan",
+    "FAULT_SITES": "registry", "FaultSite": "registry",
+    "SITE_NAMES": "registry", "is_registered": "registry",
+})
+__all__ += ["site"]

@@ -16,9 +16,11 @@ worker count — asserted against the serial path and the recorded
 digests.
 """
 
-from .node import TaskGraph, TaskNode
-from .policy import ConcurrencyPolicy, default_facts_path, load_facts
-from .scheduler import GraphScheduler, GraphStats
+from .._lazy import lazy_exports
 
-__all__ = ["TaskGraph", "TaskNode", "ConcurrencyPolicy", "GraphScheduler",
-           "GraphStats", "default_facts_path", "load_facts"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "TaskGraph": "node", "TaskNode": "node",
+    "ConcurrencyPolicy": "policy", "default_facts_path": "policy",
+    "load_facts": "policy",
+    "GraphScheduler": "scheduler", "GraphStats": "scheduler",
+})

@@ -1,41 +1,18 @@
 """Evaluation harness: the runner and report formatting used by the
 figure/table regenerators in ``benchmarks/``."""
 
-from .artifact import evaluate, full_evaluation, quick_test
-from .report import (
-    format_seconds,
-    format_si,
-    format_speedups,
-    format_stage_timings,
-    format_table,
-)
-from .sweep import SIZE_SWEEPS, SweepPoint, find_crossover, sweep_sizes
-from .whatif import WhatIfResult, evaluate_whatif, hypothetical
-from .runner import (
-    PerfRecord,
-    default_devices,
-    run_performance,
-    speedup_summary,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "evaluate",
-    "full_evaluation",
-    "quick_test",
-    "format_seconds",
-    "format_si",
-    "format_speedups",
-    "format_stage_timings",
-    "format_table",
-    "WhatIfResult",
-    "evaluate_whatif",
-    "hypothetical",
-    "SIZE_SWEEPS",
-    "SweepPoint",
-    "find_crossover",
-    "sweep_sizes",
-    "PerfRecord",
-    "default_devices",
-    "run_performance",
-    "speedup_summary",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "evaluate": "artifact", "full_evaluation": "artifact",
+    "quick_test": "artifact",
+    "format_seconds": "report", "format_si": "report",
+    "format_speedups": "report", "format_stage_timings": "report",
+    "format_table": "report",
+    "SIZE_SWEEPS": "sweep", "SweepPoint": "sweep", "find_crossover": "sweep",
+    "sweep_sizes": "sweep",
+    "WhatIfResult": "whatif", "evaluate_whatif": "whatif",
+    "hypothetical": "whatif",
+    "PerfRecord": "runner", "default_devices": "runner",
+    "run_performance": "runner", "speedup_summary": "runner",
+})

@@ -23,13 +23,16 @@ import numpy as np
 from ..gpu.counters import KernelStats
 from ..gpu.device import Device
 from ..graph import GraphScheduler, TaskGraph
-from ..kernels.base import (Quadrant, Variant, Workload, install_stats,
-                            stats_node)
-from ..kernels import all_workloads
+from ..kernels.base import (Quadrant, Variant, Workload, all_workloads,
+                            install_stats, stats_node)
 from ..perf.instrument import stage
 
 __all__ = ["PerfRecord", "build_performance_graph", "run_performance",
            "speedup_summary", "default_devices"]
+
+# the suite's modules load here, at import: a command pays for them at
+# start-up, before any graph forks its pool workers or runs a node
+all_workloads()
 
 
 @dataclass(frozen=True)

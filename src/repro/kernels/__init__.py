@@ -1,69 +1,22 @@
 """The ten Cubie workloads (Table 2), their variants, and the registry."""
 
-from .base import (
-    CC_EFF,
-    CC_EFF_MMA,
-    MLP_FULL,
-    MLP_IRREGULAR,
-    MLP_MMA_CC,
-    TC_EFF,
-    TC_EFF_CONST,
-    Quadrant,
-    Variant,
-    Workload,
-    WorkloadCase,
-    all_workloads,
-    get_workload,
-    register_workload,
-    workload_names,
-)
-from .bfs import BfsWorkload
-from .fft import FftWorkload
-from .gemm import GemmWorkload
-from .gemv import GemvWorkload
-from .pic import PicWorkload
-from .reduction import ReductionWorkload
-from .scan import ScanWorkload
-from .spgemm import SpgemmWorkload
-from .spmv import SpmvWorkload
-from .stencil import StencilWorkload
+from .._lazy import lazy_exports
 
-# suite order follows Table 2
-register_workload(GemmWorkload())
-register_workload(PicWorkload())
-register_workload(FftWorkload())
-register_workload(StencilWorkload())
-register_workload(ScanWorkload())
-register_workload(ReductionWorkload())
-register_workload(BfsWorkload())
-register_workload(GemvWorkload())
-register_workload(SpmvWorkload())
-register_workload(SpgemmWorkload())
-
-__all__ = [
-    "CC_EFF",
-    "CC_EFF_MMA",
-    "MLP_FULL",
-    "MLP_IRREGULAR",
-    "MLP_MMA_CC",
-    "TC_EFF",
-    "TC_EFF_CONST",
-    "Quadrant",
-    "Variant",
-    "Workload",
-    "WorkloadCase",
-    "all_workloads",
-    "get_workload",
-    "register_workload",
-    "workload_names",
-    "BfsWorkload",
-    "FftWorkload",
-    "GemmWorkload",
-    "GemvWorkload",
-    "PicWorkload",
-    "ReductionWorkload",
-    "ScanWorkload",
-    "SpgemmWorkload",
-    "SpmvWorkload",
-    "StencilWorkload",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CC_EFF": "base", "CC_EFF_MMA": "base", "MLP_FULL": "base",
+    "MLP_IRREGULAR": "base", "MLP_MMA_CC": "base", "TC_EFF": "base",
+    "TC_EFF_CONST": "base", "Quadrant": "base", "Variant": "base",
+    "Workload": "base", "WorkloadCase": "base", "all_workloads": "base",
+    "get_workload": "base", "register_workload": "base",
+    "workload_names": "base",
+    "BfsWorkload": "bfs",
+    "FftWorkload": "fft",
+    "GemmWorkload": "gemm",
+    "GemvWorkload": "gemv",
+    "PicWorkload": "pic",
+    "ReductionWorkload": "reduction",
+    "ScanWorkload": "scan",
+    "SpgemmWorkload": "spgemm",
+    "SpmvWorkload": "spmv",
+    "StencilWorkload": "stencil",
+})

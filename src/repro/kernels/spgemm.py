@@ -152,19 +152,18 @@ class SpgemmWorkload(Workload):
         a: CsrMatrix = data["a"]
         if variant is Variant.BASELINE:
             out = a.spgemm(a)
+        elif variant is Variant.CCE or warp_events.TRACER is not None:
+            # under the warp sanitizer each variant replays its own traffic
+            out = self._block_spgemm(data["mbsr"],
+                                     tree=variant is Variant.CCE)
         else:
             # TC and CC run the identical block sweep (bit-identity by
-            # construction), so within one prepared case the second
-            # variant reuses the first's output — except under the warp
-            # sanitizer, where each variant must replay its own traffic
-            tree = variant is Variant.CCE
-            cache_key = "_block_out_tree" if tree else "_block_out"
-            audited = warp_events.TRACER is not None
-            out = None if audited else data.get(cache_key)
+            # construction), so within one prepared case the second of
+            # them takes the first's output out of ``data`` and reuses it
+            out = data.pop("_block_out", None)
             if out is None:
-                out = self._block_spgemm(data["mbsr"], tree=tree)
-                if not audited:
-                    data[cache_key] = out
+                out = self._block_spgemm(data["mbsr"], tree=False)
+                data["_block_out"] = out
         if "sizes" not in data:     # once per prepared case
             m = data["mbsr"]
             data["sizes"] = expansion_sizes(

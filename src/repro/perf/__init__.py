@@ -19,47 +19,16 @@ are visible, and :mod:`repro.perf.bench` measures cold/warm pipeline
 wall-clock into ``BENCH_perf.json`` for the perf trajectory across PRs.
 """
 
-from .cache import (
-    CacheStats,
-    DiskStats,
-    PruneResult,
-    ResultCache,
-    cache_enabled,
-    content_key,
-    default_cache,
-    default_cache_dir,
-    default_max_disk_bytes,
-    package_source_token,
-    set_default_cache,
-    source_token,
-)
-from .executor import WorkerTaskError, resolve_n_jobs
-from .instrument import (
-    StageTiming,
-    record_stage,
-    reset_stage_timings,
-    stage,
-    stage_timings,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CacheStats",
-    "DiskStats",
-    "PruneResult",
-    "ResultCache",
-    "cache_enabled",
-    "content_key",
-    "default_cache",
-    "default_cache_dir",
-    "default_max_disk_bytes",
-    "package_source_token",
-    "set_default_cache",
-    "source_token",
-    "WorkerTaskError",
-    "resolve_n_jobs",
-    "StageTiming",
-    "record_stage",
-    "reset_stage_timings",
-    "stage",
-    "stage_timings",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CacheStats": "cache", "DiskStats": "cache", "PruneResult": "cache",
+    "ResultCache": "cache", "cache_enabled": "cache", "content_key": "cache",
+    "default_cache": "cache", "default_cache_dir": "cache",
+    "default_max_disk_bytes": "cache", "package_source_token": "cache",
+    "set_default_cache": "cache", "source_token": "cache",
+    "WorkerTaskError": "executor", "resolve_n_jobs": "executor",
+    "StageTiming": "instrument", "record_stage": "instrument",
+    "reset_stage_timings": "instrument", "stage": "instrument",
+    "stage_timings": "instrument",
+})

@@ -17,78 +17,29 @@ client, ``--local`` for in-process), ``repro loadgen`` (closed-loop load
 harness).  Protocol and degradation semantics: docs/SERVE.md.
 """
 
-from .admission import AdmissionController, CircuitBreaker, TokenBucket
-from .client import ServeClient, ServeConnectionError
-from .frontend import require_loopback_or_token
-from .loadgen import (
-    DEFAULT_MIX,
-    HostedService,
-    format_loadgen_report,
-    loadgen_failures,
-    reference_digests,
-    run_loadgen,
-)
-from .protocol import (
-    ERROR_CODES,
-    HANDSHAKE_MAX_BYTES,
-    HANDSHAKE_VERSION,
-    PROTOCOL_VERSION,
-    ProtocolError,
-    QUERY_KINDS,
-    Request,
-    Response,
-    decode_handshake,
-    decode_request,
-    decode_response,
-    encode_handshake,
-    encode_request,
-    encode_response,
-    is_handshake_line,
-    normalize_params,
-)
-from .queries import resolve_perf_batch, resolve_query
-from .scheduler import ModelPool, Scheduler, query_key
-from .server import CharacterizationService, ServeConfig, run_query_locally
-from .telemetry import RollingHistogram, Telemetry, Trace
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "CircuitBreaker",
-    "TokenBucket",
-    "ServeClient",
-    "ServeConnectionError",
-    "DEFAULT_MIX",
-    "HostedService",
-    "format_loadgen_report",
-    "loadgen_failures",
-    "reference_digests",
-    "run_loadgen",
-    "ERROR_CODES",
-    "HANDSHAKE_MAX_BYTES",
-    "HANDSHAKE_VERSION",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "QUERY_KINDS",
-    "Request",
-    "Response",
-    "decode_handshake",
-    "decode_request",
-    "decode_response",
-    "encode_handshake",
-    "encode_request",
-    "encode_response",
-    "is_handshake_line",
-    "normalize_params",
-    "resolve_perf_batch",
-    "resolve_query",
-    "ModelPool",
-    "Scheduler",
-    "query_key",
-    "CharacterizationService",
-    "ServeConfig",
-    "require_loopback_or_token",
-    "run_query_locally",
-    "RollingHistogram",
-    "Telemetry",
-    "Trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AdmissionController": "admission", "CircuitBreaker": "admission",
+    "TokenBucket": "admission",
+    "ServeClient": "client", "ServeConnectionError": "client",
+    "require_loopback_or_token": "frontend",
+    "DEFAULT_MIX": "loadgen", "HostedService": "loadgen",
+    "format_loadgen_report": "loadgen", "loadgen_failures": "loadgen",
+    "reference_digests": "loadgen", "run_loadgen": "loadgen",
+    "ERROR_CODES": "protocol", "HANDSHAKE_MAX_BYTES": "protocol",
+    "HANDSHAKE_VERSION": "protocol", "PROTOCOL_VERSION": "protocol",
+    "ProtocolError": "protocol", "QUERY_KINDS": "protocol",
+    "Request": "protocol", "Response": "protocol",
+    "decode_handshake": "protocol", "decode_request": "protocol",
+    "decode_response": "protocol", "encode_handshake": "protocol",
+    "encode_request": "protocol", "encode_response": "protocol",
+    "is_handshake_line": "protocol", "normalize_params": "protocol",
+    "resolve_perf_batch": "queries", "resolve_query": "queries",
+    "ModelPool": "scheduler", "Scheduler": "scheduler",
+    "query_key": "scheduler",
+    "CharacterizationService": "server", "ServeConfig": "server",
+    "run_query_locally": "server",
+    "RollingHistogram": "telemetry", "Telemetry": "telemetry",
+    "Trace": "telemetry",
+})

@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 from ..gpu.specs import ALL_GPUS, get_gpu
-from ..kernels.base import workload_names
 
 __all__ = [
     "ERROR_CODES",
@@ -120,13 +119,21 @@ def _require(params: Mapping[str, Any], allowed: set[str], kind: str) -> None:
             f"allowed: {sorted(allowed)}")
 
 
-def _norm_workload(name: Any, kind: str) -> str:
+def _norm_workloads(names: Sequence[Any], kind: str) -> list[str]:
+    # imported here, once per request: the kernels load NumPy, which a
+    # client needs only once it names a workload
+    from ..kernels.base import workload_names
     known = workload_names()
-    if not isinstance(name, str) or name not in known:
-        raise ProtocolError(
-            "bad_params",
-            f"{kind}: workload must be one of {known}, got {name!r}")
-    return name
+    for name in names:
+        if not isinstance(name, str) or name not in known:
+            raise ProtocolError(
+                "bad_params",
+                f"{kind}: workload must be one of {known}, got {name!r}")
+    return list(names)
+
+
+def _norm_workload(name: Any, kind: str) -> str:
+    return _norm_workloads([name], kind)[0]
 
 
 def _norm_workload_list(names: Any, kind: str) -> list[str] | None:
@@ -135,7 +142,7 @@ def _norm_workload_list(names: Any, kind: str) -> list[str] | None:
     if not isinstance(names, (list, tuple)) or not names:
         raise ProtocolError(
             "bad_params", f"{kind}: workloads must be a non-empty list")
-    return [_norm_workload(n, kind) for n in names]
+    return _norm_workloads(names, kind)
 
 
 def _norm_gpu(name: Any, kind: str) -> str:

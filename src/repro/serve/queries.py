@@ -26,12 +26,14 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from ..analysis.accuracy import accuracy_table
+from ..analysis.edp import edp_study
+from ..analysis.observations import verify_all
 from ..analysis.quadrants import classify
 from ..analysis.roofline import suite_roofline
 from ..gpu.device import Device
 from ..harness.runner import PerfRecord, run_performance
 from ..harness.whatif import evaluate_whatif, hypothetical
-from ..kernels import Variant, all_workloads, get_workload
+from ..kernels.base import Variant, all_workloads, get_workload
 
 __all__ = ["jsonable", "perf_payload", "resolve_perf_batch",
            "resolve_query"]
@@ -143,7 +145,6 @@ def _resolve_accuracy(params: Mapping[str, Any]) -> Any:
 
 
 def _resolve_edp(params: Mapping[str, Any]) -> Any:
-    from ..analysis.edp import edp_study
     return jsonable(edp_study(get_workload(params["workload"]),
                               Device(params["gpu"]),
                               repeats=params.get("repeats")))
@@ -180,7 +181,6 @@ def _resolve_whatif(params: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def _resolve_observations(params: Mapping[str, Any]) -> Any:
-    from ..analysis.observations import verify_all
     return jsonable(verify_all(n_jobs=1))
 
 

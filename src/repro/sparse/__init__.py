@@ -4,24 +4,13 @@ scipy.sparse is deliberately not used here; it appears only in the test
 suite as an independent cross-check of these implementations.
 """
 
-from .bitmap import SLICE_ROWS, TILE_COLS, BitmapGraph
-from .csr import CsrMatrix
-from .dasp import DaspLayout, DaspMatrix
-from .ell import EllMatrix
-from .io import read_matrix_market, write_matrix_market
-from .mbsr import BLOCK, MbsrMatrix, block_pattern
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BitmapGraph",
-    "SLICE_ROWS",
-    "TILE_COLS",
-    "CsrMatrix",
-    "DaspLayout",
-    "DaspMatrix",
-    "EllMatrix",
-    "read_matrix_market",
-    "write_matrix_market",
-    "MbsrMatrix",
-    "BLOCK",
-    "block_pattern",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "SLICE_ROWS": "bitmap", "TILE_COLS": "bitmap", "BitmapGraph": "bitmap",
+    "CsrMatrix": "csr",
+    "DaspLayout": "dasp", "DaspMatrix": "dasp",
+    "EllMatrix": "ell",
+    "read_matrix_market": "io", "write_matrix_market": "io",
+    "BLOCK": "mbsr", "MbsrMatrix": "mbsr", "block_pattern": "mbsr",
+})

@@ -1,19 +1,10 @@
 """Benchmark-suite comparison substrate (Figure 11, Table 7)."""
 
-from .metrics import (
-    METRIC_NAMES,
-    MetricPoint,
-    metrics_for_stats,
-    suite_metric_points,
-)
-from .minikernels import RODINIA_KERNELS, SHOC_KERNELS, MiniKernel
+from .._lazy import lazy_exports
 
-__all__ = [
-    "METRIC_NAMES",
-    "MetricPoint",
-    "metrics_for_stats",
-    "suite_metric_points",
-    "RODINIA_KERNELS",
-    "SHOC_KERNELS",
-    "MiniKernel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "METRIC_NAMES": "metrics", "MetricPoint": "metrics",
+    "metrics_for_stats": "metrics", "suite_metric_points": "metrics",
+    "RODINIA_KERNELS": "minikernels", "SHOC_KERNELS": "minikernels",
+    "MiniKernel": "minikernels",
+})

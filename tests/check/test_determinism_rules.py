@@ -6,6 +6,7 @@ from repro.check.dataflow import PackageGraph
 from repro.check.determinism import analyze_package, facts_to_json
 from repro.check.runner import package_root
 from repro.graph import TaskGraph, TaskNode
+from repro.graph.policy import default_facts_path, load_facts
 
 
 def _rules(sources):
@@ -435,6 +436,53 @@ class TestR009GraphNodeAmbient:
                 "harness/sweep.py::_sweep_size"} <= targets
         for e in facts["graph_nodes"]:
             assert e["ambient"] == [] and e["tainted"] == [], e
+
+    def test_checked_in_facts_keep_node_callables_pure(self):
+        """The committed artifact, which the concurrency policy reads at
+        run time, records every node callable as pure with no ambient
+        input."""
+        facts = load_facts(default_facts_path())
+        targets = {e["target"] for e in facts["graph_nodes"]}
+        assert len(targets) == 6
+        for target in targets:
+            assert facts["purity"][target] == {"pure": True}, target
+
+
+class TestLazyReExports:
+    """A package ``__init__`` that re-exports through ``lazy_exports``
+    hides no call edge: the analyzer reads its map as the
+    ``from .submodule import name`` lines the map replaces."""
+
+    SOURCES = {
+        "pkg/__init__.py": (
+            "from .._lazy import lazy_exports\n"
+            "__getattr__, __dir__, __all__ = lazy_exports(__name__, {\n"
+            "    'stamp': 'impl',\n"
+            "})\n"),
+        "pkg/impl.py": (
+            "import os\n"
+            "import time\n"
+            "def stamp(x):\n"
+            "    return (x, time.time(), os.environ.get('HOME'))\n"),
+        "a.py": _GRAPH_PRELUDE + (
+            "from .pkg import stamp\n"
+            "def worker(x):\n"
+            "    return stamp(x)\n"
+            "def build():\n"
+            "    g = TaskGraph()\n"
+            "    g.add(TaskNode(key='k', kind='unit', fn=worker))\n"
+            "    return g\n"),
+    }
+
+    def test_node_reaching_ambient_state_through_it_fires_r009(self):
+        assert [r[0] for r in _rules(self.SOURCES)] == ["R009"]
+
+    def test_purity_verdict_names_the_defining_function(self):
+        rep = analyze_package(graph=PackageGraph.from_sources(self.SOURCES))
+        verdict = rep.facts["purity"]["a.py::worker"]
+        assert verdict["pure"] is False and verdict["ambient"] == ["env"]
+        assert verdict["witness"].startswith("pkg/impl.py::stamp -> ")
+        assert verdict["ambient_witness"].startswith("pkg/impl.py::stamp")
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ from repro.gpu import Device, KernelStats
 from repro.kernels import (
     GemvWorkload,
     ScanWorkload,
+    SpgemmWorkload,
     SpmvWorkload,
     Variant,
 )
@@ -51,6 +52,32 @@ class TestDegenerateInputs:
         data = w.prepare(case)
         out = w.execute(Variant.TC, data, DEV).output
         np.testing.assert_allclose(out, w.reference(data), atol=1e-12)
+
+
+class TestSpgemmBlockOutputReuse:
+    """TC and CC share one block output per prepared case, and the case
+    does not keep it once CC has taken it."""
+
+    @staticmethod
+    def _case():
+        w = SpgemmWorkload(scale=0.08, exec_scale=0.08)
+        return w, w.prepare(w.exec_case(w.cases()[0]))
+
+    def test_cc_reuses_tc_output_and_data_keeps_none(self):
+        w, data = self._case()
+        keys = set(data)
+        outs = {v: w.execute(v, data, DEV).output for v in w.variants()}
+        assert outs[Variant.CC] is outs[Variant.TC]
+        assert outs[Variant.CCE] is not outs[Variant.TC]
+        assert set(data) - keys == {"sizes"}
+
+    def test_tc_twice_gives_identical_arrays(self):
+        w, data = self._case()
+        first = w.execute(Variant.TC, data, DEV).output
+        second = w.execute(Variant.TC, data, DEV).output
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(first, name),
+                                          getattr(second, name))
 
 
 class TestNanPropagation:
