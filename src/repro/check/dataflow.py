@@ -54,7 +54,9 @@ class ImportResolver(ast.NodeVisitor):
     ``import numpy as np`` → ``np: numpy``;
     ``from datetime import datetime`` → ``datetime: datetime.datetime``.
     Relative imports resolve to ``.``-prefixed paths, which never collide
-    with the absolute stdlib/numpy prefixes the rules look for.
+    with the absolute stdlib/numpy prefixes the rules look for:
+    ``from .mod import x`` → ``.mod.x`` and ``from . import x`` → ``.x``
+    (the dots count package levels, as in the import itself).
     """
 
     def __init__(self) -> None:
@@ -67,10 +69,9 @@ class ImportResolver(ast.NodeVisitor):
                 alias.name.split(".", 1)[0]
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        base = ("." * node.level) + (node.module or "")
+        prefix = "." * node.level + (f"{node.module}." if node.module else "")
         for alias in node.names:
-            local = alias.asname or alias.name
-            self.names[local] = f"{base}.{alias.name}" if base else alias.name
+            self.names[alias.asname or alias.name] = prefix + alias.name
 
 
 def resolve_dotted(node: ast.expr, names: dict[str, str]) -> str | None:

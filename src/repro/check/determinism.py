@@ -41,15 +41,18 @@ rebound via ``global`` statements).
   must close).
 * ``D006`` key-ambient-read — a content-key constructor reads a file or
   a mutated module global outside the key, same consequence as D005.
-* ``R009`` graph-node-ambient — a :class:`~repro.graph.TaskNode`
-  callable transitively reads unkeyed ambient state (env/file/global):
-  the graph scheduler may run it concurrently with writers of that
-  state, so either the read is folded into the node's arguments or the
-  concurrency policy serializes the node.  Every parallel call site is
-  a task graph, so this is also the check that a pool worker's
-  fork-time snapshot of a mutated global cannot make serial and
-  parallel runs diverge; ``TaskGraph.add`` rejects lambdas, nested
-  functions and bound methods whenever a graph is built.
+* ``R009`` graph-node-impure — a :class:`~repro.graph.TaskNode`
+  callable transitively reaches a source (rng/clock/fs-order/set-order/
+  id-hash) or reads unkeyed ambient state (env/file/global): its value
+  could differ between runs, or between the serial path and a pool
+  worker, so the read must be folded into the node's arguments or
+  content key.  The graph scheduler runs every node as a pure function
+  of its arguments, and this rule is the one place that property is
+  enforced.  Every parallel call site is a task graph, so this is also
+  the check that a pool worker's fork-time snapshot of a mutated global
+  cannot make serial and parallel runs diverge; ``TaskGraph.add``
+  rejects lambdas, nested functions and bound methods whenever a graph
+  is built.
 
 Propagation is a fixpoint over the :class:`~repro.check.dataflow.
 PackageGraph` call graph.  Calls into the measurement/fault/scheduling
@@ -356,9 +359,8 @@ def _propagate(all_facts: dict[str, _Facts]
     by *unkeyed* reads (reads inside ``content_key`` arguments are part
     of the key, not hidden state).  They do not flip ``pure`` (the value
     is still deterministic per process) but they do make a function
-    unsafe to schedule concurrently against writers of the same state,
-    which is what the graph scheduler's concurrency policy and rule R009
-    consume them for.
+    unsafe to run as a graph node, which is what rule R009 consumes
+    them for.
     """
     taint: dict[str, dict[str, tuple[str | None, str, int]]] = {}
     callers: dict[str, list[tuple[str, int]]] = {}
@@ -489,7 +491,8 @@ def analyze_package(root: str | Path | None = None, *,
                             "cached entry and a recomputation could "
                             "differ, voiding the bit-identity contract"))
 
-        # R009: task-graph node callables must be safe to run concurrently
+        # R009: a task-graph node callable must be a pure function of its
+        # arguments
         for line, node_fn in f.graph_nodes:
             target = None if node_fn is None else \
                 _resolve_callable(graph, minfo, f.info, node_fn)
@@ -504,19 +507,19 @@ def analyze_package(root: str | Path | None = None, *,
                 "ambient": ambient,
                 "tainted": value_kinds,
             })
-            if target and ambient:
-                first = f"ambient-{ambient[0]}"
+            if target and (value_kinds or ambient):
+                first = value_kinds[0] if value_kinds \
+                    else f"ambient-{ambient[0]}"
+                what = f"is {first}-tainted" if value_kinds else \
+                    f"reads unkeyed ambient state ({', '.join(ambient)})"
                 findings.append(Finding(
                     rule="R009", severity="error", path=f.info.module,
                     symbol=f.info.qualname, line=line,
-                    message=f"graph node callable {target.qualname} reads "
-                            f"unkeyed ambient state "
-                            f"({', '.join(ambient)}: "
-                            f"{_witness(taint, target.fid, first)}) yet "
-                            "the scheduler may run it concurrently; fold "
-                            "the read into the node's arguments/content "
-                            "key, or the concurrency policy will "
-                            "serialize it against every sibling"))
+                    message=f"graph node callable {target.qualname} "
+                            f"{what}: {_witness(taint, target.fid, first)}"
+                            "; its value could differ between runs or "
+                            "worker counts, so fold the read into the "
+                            "node's arguments or content key"))
 
         # D005/D006: content-key completeness
         if f.key_calls:
@@ -582,14 +585,13 @@ def export_facts(graph: PackageGraph, all_facts: dict[str, _Facts],
 
     Derived purely from package sources and emitted in sorted order, so
     byte-identity across runs holds by construction (asserted in CI) —
-    the analyzer satisfies its own determinism contract.  Consumers:
-    delta-invalidated sweeps (which functions feed which content keys)
-    and the graph scheduler's :class:`~repro.graph.policy.
-    ConcurrencyPolicy` (version 2: each purity entry's ``ambient`` list
-    names the unkeyed env/file/global inputs reachable from the
-    function — the facts that decide a node's concurrency eligibility).
-    Every fan-out is a task graph, so ``graph_nodes`` lists everything a
-    pool worker runs.
+    the analyzer satisfies its own determinism contract.  It is the
+    reviewed record of every verdict: checked in, so a change's diff
+    shows which verdicts moved (version 2: each purity entry's
+    ``ambient`` list names the unkeyed env/file/global inputs reachable
+    from the function).  Every fan-out is a task graph, so
+    ``graph_nodes`` lists everything a pool worker runs, with the
+    verdicts R009 reads.
     """
     purity: dict[str, dict] = {}
     for fid in sorted(all_facts):

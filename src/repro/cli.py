@@ -712,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the interprocedural taint engine "
                         "(D001/D002: cache/serve value purity, "
                         "D005/D006: content-key completeness, R009: "
-                        "graph node ambient reads)")
+                        "graph node purity)")
     p.add_argument("--facts", default=None, metavar="PATH",
                    help="write determinism_facts.json here "
                         "(implies --determinism)")

@@ -9,18 +9,16 @@ another graph consumer.  Every fan-out is a graph builder (the
 observation audit, the Table 6 audit, the grid, size sweeps, per-file
 lint) and each command runs one graph; no node fans out inside itself.
 
-Concurrency eligibility comes from the determinism proof engine's
-exported facts (:mod:`repro.graph.policy`); the tie-break order is
-deterministic (:meth:`TaskGraph.order`), so a run is bit-identical at any
-worker count — asserted against the serial path and the recorded
-digests.
+Every node callable is a pure function of its arguments — ``repro
+check`` proves it (rule R009) before anything runs — and the tie-break
+order is deterministic (:meth:`TaskGraph.order`), so a run is
+bit-identical at any worker count — asserted against the serial path and
+the recorded digests.
 """
 
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "TaskGraph": "node", "TaskNode": "node",
-    "ConcurrencyPolicy": "policy", "default_facts_path": "policy",
-    "load_facts": "policy",
     "GraphScheduler": "scheduler", "GraphStats": "scheduler",
 })

@@ -9,8 +9,8 @@ whose command runs one graph, and no node starts a fan-out of its own.
 
 Edges carry values: every node runs as ``fn(*args, *inputs)``, where
 ``inputs`` are the values of its ``deps`` in ``deps`` order — on the
-serial, pooled, exclusive and degrade paths alike — so a consumer gets
-its producers' results instead of recomputing them.
+serial, pooled and degrade paths alike — so a consumer gets its
+producers' results instead of recomputing them.
 
 Execution model:
 
@@ -33,10 +33,10 @@ Execution model:
   the in-process serial path after :data:`MAX_RETRIES` failed rounds.
   Any other exception (a :class:`~repro.perf.executor.WorkerTaskError`,
   a payload that cannot pickle) kills the pool and propagates at once.
-* nodes the :class:`~repro.graph.policy.ConcurrencyPolicy` marks
-  exclusive (impure per ``determinism_facts.json``) never enter the
-  pool: the scheduler drains in-flight work, then runs them in the
-  parent process at their topological position.
+
+Every node callable may run in any worker, in any order relative to its
+siblings: ``repro check`` proves each one a pure function of its
+arguments (rule R009, docs/CHECK.md) before anything runs.
 
 Every node is timed worker-side under a ``graph/<kind>`` stage pair, and
 the run's *overlap ratio* — summed node wall over makespan, the figure
@@ -60,7 +60,6 @@ from ..perf.executor import (WorkerTaskError, _env_float,
 from ..perf.instrument import (merge_stage_timings, note_graph_run,
                                note_worker_count, stage)
 from .node import TaskGraph, TaskNode
-from .policy import ConcurrencyPolicy
 
 __all__ = ["GraphScheduler", "GraphStats"]
 
@@ -157,8 +156,6 @@ class GraphStats:
     reused_nodes: int = 0
     #: nodes that finished on the degrade-to-serial path
     degraded_nodes: int = 0
-    #: nodes the policy ran exclusively (impure per the facts)
-    exclusive_nodes: int = 0
     per_kind_wall_s: dict[str, float] = field(default_factory=dict)
 
 
@@ -166,16 +163,14 @@ class GraphScheduler:
     """Execute a :class:`TaskGraph`; results keyed by node key.
 
     ``n_jobs`` resolves like every worker count (explicit >
-    ``REPRO_JOBS`` > CPU count).  A pool round in
-    which no node finishes within ``REPRO_CHUNK_TIMEOUT_S`` fails (unset
-    = wait forever); the retry budget and backoff are the module's.
+    ``REPRO_JOBS`` > CPU count).  A pool round in which no node finishes
+    within ``REPRO_CHUNK_TIMEOUT_S`` fails (unset or not finite = wait
+    forever); the retry budget and backoff are the module's.
     """
 
-    def __init__(self, n_jobs: int | None = None, *,
-                 policy: ConcurrencyPolicy | None = None) -> None:
+    def __init__(self, n_jobs: int | None = None) -> None:
         self.n_jobs = resolve_n_jobs(n_jobs)
         self.chunk_timeout_s = _env_float("REPRO_CHUNK_TIMEOUT_S")
-        self.policy = policy if policy is not None else ConcurrencyPolicy()
         self.last_stats = GraphStats()
 
     # ------------------------------------------------------------- run
@@ -217,9 +212,8 @@ class GraphScheduler:
     # ---------------------------------------------------------- serial
     def _run_inline(self, node: TaskNode, walls: dict[str, float],
                     results: dict[str, Any]) -> Any:
-        """Run one node in-process (serial path, exclusive nodes, and the
-        degrade fallback).  No fault injection: only pool workers
-        self-destruct."""
+        """Run one node in-process (serial path and the degrade
+        fallback).  No fault injection: only pool workers self-destruct."""
         try:
             value, wall = _exec_node(_call(node, results))
         except WorkerTaskError:
@@ -237,23 +231,15 @@ class GraphScheduler:
         dependents = graph.dependents()
         deps_left = {k: len(set(graph.node(k).deps)) for k in order}
         results: dict[str, Any] = {}
-        ready: list[str] = []       # concurrent nodes, smallest key first
-        exclusive: list[str] = []   # policy-serialized nodes
+        ready: list[str] = []       # smallest key first
         attempts = {k: 0 for k in order}
-
-        def _enqueue(key: str) -> None:
-            node = graph.node(key)
-            if self.policy.concurrent(node):
-                heapq.heappush(ready, key)
-            else:
-                heapq.heappush(exclusive, key)
 
         def _complete(key: str, value: Any) -> None:
             results[key] = value
             for child in dependents[key]:
                 deps_left[child] -= 1
                 if deps_left[child] == 0:
-                    _enqueue(child)
+                    heapq.heappush(ready, child)
 
         def _settle(fut: Future, key: str) -> bool:
             """Take a finished node's result; False when the pool failed
@@ -270,7 +256,7 @@ class GraphScheduler:
 
         for key in order:
             if deps_left[key] == 0:
-                _enqueue(key)
+                heapq.heappush(ready, key)
 
         inflight: dict[Future, str] = {}
         pool: ProcessPoolExecutor | None = None
@@ -297,17 +283,8 @@ class GraphScheduler:
                         fut.set_exception(exc)
                     inflight[fut] = key
                 if not inflight:
-                    if exclusive:
-                        # in-flight work drained: run the impure node
-                        # alone, in the parent, at its topo position
-                        key = heapq.heappop(exclusive)
-                        stats.exclusive_nodes += 1
-                        _complete(key, self._run_inline(graph.node(key),
-                                                        walls, results))
-                        continue
                     raise RuntimeError(  # pragma: no cover - order() bars
-                        "graph stalled: no ready, in-flight, or "
-                        "exclusive nodes left")
+                        "graph stalled: no ready or in-flight nodes left")
                 done, _ = futures_wait(set(inflight),
                                        timeout=self.chunk_timeout_s,
                                        return_when=FIRST_COMPLETED)

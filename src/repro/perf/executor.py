@@ -13,6 +13,7 @@ stage timings back with its value.  A call that fails raises
 
 from __future__ import annotations
 
+import math
 import os
 import time
 import traceback
@@ -58,12 +59,13 @@ def resolve_n_jobs(n_jobs: int | None = None) -> int:
 
 
 def _env_float(name: str) -> float | None:
-    """A positive float from the environment; None when unset or bad."""
+    """A finite positive float from the environment; None when unset,
+    bad or not finite."""
     try:
         value = float(os.environ.get(name, ""))
     except ValueError:
         return None
-    return value if value > 0 else None
+    return value if math.isfinite(value) and value > 0 else None
 
 
 def _run_chunk_remote(payload: tuple[Callable[[Any], Any], Any, str, str,

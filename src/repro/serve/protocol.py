@@ -33,6 +33,7 @@ computed one — the bit-identity contract the test suite asserts.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -117,6 +118,17 @@ def _require(params: Mapping[str, Any], allowed: set[str], kind: str) -> None:
             "bad_params",
             f"{kind}: unknown parameter(s) {sorted(unknown)}; "
             f"allowed: {sorted(allowed)}")
+
+
+def _finite_positive(value: Any) -> bool:
+    """A JSON number > 0 that converts to a finite float.
+
+    ``json.loads`` reads ``NaN``, ``Infinity`` and ``1e400`` (as inf),
+    and ``float()`` overflows on an integer past the float range; the
+    one exact comparison refuses all three (NaN compares false).
+    """
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and 0 < value <= sys.float_info.max
 
 
 def _norm_workloads(names: Sequence[Any], kind: str) -> list[str]:
@@ -225,10 +237,10 @@ def _norm_whatif(p: Mapping[str, Any]) -> dict[str, Any]:
                 f"whatif: cannot scale {key!r}; "
                 f"scalable: {sorted(_WHATIF_SCALABLE)}")
         factor = scales[key]
-        if not isinstance(factor, (int, float)) or isinstance(factor, bool) \
-                or factor <= 0:
+        if not _finite_positive(factor):
             raise ProtocolError(
-                "bad_params", f"whatif: scale for {key} must be > 0")
+                "bad_params", f"whatif: scale for {key} must be finite "
+                              "and > 0")
         out_scales[key] = float(factor)
     variant = p.get("variant", "tc")
     if variant not in ("tc", "cc", "cce", "baseline"):
@@ -298,7 +310,7 @@ def decode_handshake(line: str) -> str:
             f"handshake line exceeds {HANDSHAKE_MAX_BYTES} bytes")
     try:
         payload = json.loads(line)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # see decode_request
         raise ProtocolError(
             "auth_required",
             "this server requires a fabric handshake as the first line") \
@@ -325,7 +337,7 @@ def is_handshake_line(text: str) -> bool:
         return False
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # see decode_request
         return False
     return isinstance(payload, dict) and "fabric" in payload
 
@@ -378,7 +390,9 @@ def decode_request(line: str) -> Request:
     """Parse and validate one request line (normalizing its params)."""
     try:
         payload = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, or an integer past the digit limit;
+        # RecursionError: nesting past the decoder's depth
         raise ProtocolError("bad_request", f"unparseable JSON: {exc}") \
             from exc
     if not isinstance(payload, dict):
@@ -391,9 +405,9 @@ def decode_request(line: str) -> Request:
         raise ProtocolError("bad_request", "'id' must be a string")
     deadline = payload.get("deadline_s")
     if deadline is not None:
-        if not isinstance(deadline, (int, float)) \
-                or isinstance(deadline, bool) or deadline <= 0:
-            raise ProtocolError("bad_request", "'deadline_s' must be > 0")
+        if not _finite_positive(deadline):
+            raise ProtocolError("bad_request",
+                                "'deadline_s' must be finite and > 0")
         deadline = float(deadline)
     fresh = payload.get("fresh", False)
     if not isinstance(fresh, bool):

@@ -105,6 +105,27 @@ class TestResolution:
         hits = _call_in(g, "pkg/a.py", "caller")
         assert [h.fid for h in hits] == ["pkg/b.py::helper"]
 
+    def test_from_dot_import_binds_the_sibling_module(self):
+        g = _graph({
+            "pkg/__init__.py": "",
+            "pkg/a.py": "from . import helper\n"
+                        "def caller():\n"
+                        "    helper.f()\n",
+            "pkg/helper.py": "def f():\n    pass\n"})
+        hits = _call_in(g, "pkg/a.py", "caller")
+        assert [h.fid for h in hits] == ["pkg/helper.py::f"]
+
+    def test_from_dot_dot_import_binds_the_parent_package_module(self):
+        g = _graph({
+            "pkg/__init__.py": "",
+            "pkg/helper.py": "def f():\n    pass\n",
+            "pkg/sub/__init__.py": "",
+            "pkg/sub/a.py": "from .. import helper\n"
+                            "def caller():\n"
+                            "    helper.f()\n"})
+        hits = _call_in(g, "pkg/sub/a.py", "caller")
+        assert [h.fid for h in hits] == ["pkg/helper.py::f"]
+
     def test_reexport_through_package_init(self):
         g = _graph({
             "pkg/__init__.py": "from .impl import helper\n",

@@ -1,12 +1,13 @@
 """Fixture packages per D-rule plus the whole-repo D-clean regression."""
 
+import json
+
 import pytest
 
 from repro.check.dataflow import PackageGraph
 from repro.check.determinism import analyze_package, facts_to_json
 from repro.check.runner import package_root
 from repro.graph import TaskGraph, TaskNode
-from repro.graph.policy import default_facts_path, load_facts
 
 
 def _rules(sources):
@@ -423,9 +424,77 @@ class TestR009GraphNodeAmbient:
         assert sites["a.py::dirty"]["ambient"] == ["env"]
         assert rep.facts["purity"]["a.py::dirty"]["ambient"] == ["env"]
 
+    def test_clock_reading_node_callable_fires(self):
+        rules = _rules({"a.py": _GRAPH_PRELUDE + (
+            "import time\n"
+            "def worker(x):\n"
+            "    return (x, time.time())\n"
+            "def build():\n"
+            "    g = TaskGraph()\n"
+            "    g.add(TaskNode(key='k', kind='unit', fn=worker))\n"
+            "    return g\n")})
+        assert [r[0] for r in rules] == ["R009"]
+
+    def test_unseeded_rng_through_a_helper_fires(self):
+        rep = analyze_package(graph=PackageGraph.from_sources(
+            {"a.py": _GRAPH_PRELUDE + (
+                "import numpy as np\n"
+                "def jitter():\n"
+                "    return np.random.normal()\n"
+                "def worker(x):\n"
+                "    return x + jitter()\n"
+                "def build():\n"
+                "    g = TaskGraph()\n"
+                "    g.add(TaskNode(key='k', kind='unit', fn=worker))\n"
+                "    return g\n")}))
+        assert [f.rule for f in rep.findings] == ["R009"]
+        assert "rng-tainted: a.py::jitter -> numpy.random.normal" \
+            in rep.findings[0].message
+
+    def test_env_read_through_a_sibling_module_fires(self):
+        """``from . import helper`` binds the sibling module, so the
+        node callable reaches what ``helper.f`` reads."""
+        assert _rules({
+            "pkg/__init__.py": "",
+            "pkg/helper.py": (
+                "import os\n"
+                "def f():\n"
+                "    return os.environ.get('MODE')\n"),
+            "pkg/nodes.py": _GRAPH_PRELUDE + (
+                "from . import helper\n"
+                "def worker(x):\n"
+                "    return (x, helper.f())\n"
+                "def build():\n"
+                "    g = TaskGraph()\n"
+                "    g.add(TaskNode(key='k', kind='unit', fn=worker))\n"
+                "    return g\n")}) == [("R009", "pkg/nodes.py", 7)]
+
+    def test_stage_timing_in_node_callable_is_clean(self):
+        """perf/ is a barrier: a node that times its work under a stage
+        reads the clock only for telemetry, never for its value."""
+        assert _rules({
+            "perf/instrument.py": (
+                "import time\n"
+                "from contextlib import contextmanager\n"
+                "TIMINGS = {}\n"
+                "@contextmanager\n"
+                "def stage(name):\n"
+                "    t0 = time.perf_counter()\n"
+                "    yield\n"
+                "    TIMINGS[name] = time.perf_counter() - t0\n"),
+            "a.py": _GRAPH_PRELUDE + (
+                "from repro.perf.instrument import stage\n"
+                "def worker(x):\n"
+                "    with stage('work'):\n"
+                "        return x * x\n"
+                "def build():\n"
+                "    g = TaskGraph()\n"
+                "    g.add(TaskNode(key='k', kind='unit', fn=worker))\n"
+                "    return g\n")}) == []
+
     def test_repo_graph_builders_are_r009_clean(self):
-        """The shipped node callables must stay provably pure — the
-        concurrency policy schedules them on these facts."""
+        """The shipped node callables must stay provably pure: the
+        scheduler runs them in any worker, in any order."""
         facts = analyze_package(package_root()).facts
         targets = {e["target"] for e in facts["graph_nodes"]}
         assert {"analysis/accuracy.py::_node_dataset",
@@ -438,10 +507,11 @@ class TestR009GraphNodeAmbient:
             assert e["ambient"] == [] and e["tainted"] == [], e
 
     def test_checked_in_facts_keep_node_callables_pure(self):
-        """The committed artifact, which the concurrency policy reads at
-        run time, records every node callable as pure with no ambient
-        input."""
-        facts = load_facts(default_facts_path())
+        """The committed artifact, the reviewed record of every verdict,
+        records every node callable as pure with no ambient input."""
+        facts = json.loads(
+            (package_root().parents[1] / "determinism_facts.json")
+            .read_text())
         targets = {e["target"] for e in facts["graph_nodes"]}
         assert len(targets) == 6
         for target in targets:

@@ -1,28 +1,17 @@
-"""GraphScheduler semantics: determinism, policy, stats, and errors.
+"""GraphScheduler semantics: determinism, edge values, stats, and errors.
 
 The scheduler's contract (docs/PERF.md): results depend only on the
 node set and each node's arguments — identical across worker counts,
-insertion orders, and completion races — and the concurrency policy
-serializes exactly the nodes the determinism facts cannot prove pure.
+insertion orders, and completion races.  That every shipped node
+callable is a pure function of its arguments is proved before the run,
+by rule R009 (tests/check/test_determinism_rules.py).
 """
 
-import json
-import os
 import random
-import sys
-import threading
-from pathlib import Path
 
 import pytest
 
-from repro.analysis.accuracy import _node_dataset
-from repro.graph import (
-    ConcurrencyPolicy,
-    GraphScheduler,
-    TaskGraph,
-    TaskNode,
-)
-from repro.graph.policy import function_fid, load_facts
+from repro.graph import GraphScheduler, TaskGraph, TaskNode
 from repro.perf.executor import WorkerTaskError
 from repro.perf.instrument import (
     reset_stage_timings,
@@ -82,17 +71,6 @@ FAN_IN = {"p:a": ("a", ()), "p:b": ("b", ()), "p:c": ("c", ()),
           "q": ("q", (("c", ()), ("a", ()), ("b", ())))}
 
 
-class _KindPolicy(ConcurrencyPolicy):
-    """Test double: serialize every node of the given kinds."""
-
-    def __init__(self, exclusive_kinds):
-        super().__init__(facts={})
-        self.exclusive_kinds = set(exclusive_kinds)
-
-    def concurrent(self, node):
-        return node.kind not in self.exclusive_kinds
-
-
 class TestDeterminism:
     def test_serial_equals_pooled(self, pool_rule):
         graph = _chain_graph()
@@ -119,6 +97,14 @@ class TestDeterminism:
     def test_empty_graph(self):
         assert GraphScheduler(4).run(TaskGraph()) == {}
 
+    @pytest.mark.parametrize("timeout", [float("inf"), "1e400"])
+    def test_non_finite_chunk_timeout_counts_as_unset(self, pool_rule,
+                                                      timeout):
+        # a wait cannot take an infinite timeout: unset means no limit
+        pool_rule(max_retries=2, backoff_base_s=0.01,
+                  chunk_timeout_s=timeout)
+        assert GraphScheduler(2).run(_chain_graph(n=4)) == _expected(n=4)
+
 
 class TestEdgeValues:
     """Every node runs as ``fn(*args, *inputs)``: its deps' values, in
@@ -132,156 +118,6 @@ class TestEdgeValues:
         sched = GraphScheduler(2)
         assert sched.run(fan_in_graph()) == FAN_IN
         assert sched.last_stats.workers == 2
-
-    def test_exclusive_path(self, pool_rule):
-        pool_rule(max_retries=2, backoff_base_s=0.01)
-        sched = GraphScheduler(2, policy=_KindPolicy({"consume"}))
-        assert sched.run(fan_in_graph()) == FAN_IN
-        assert sched.last_stats.exclusive_nodes == 1
-
-
-class TestPolicy:
-    def test_exclusive_nodes_run_in_parent_with_correct_results(
-            self, pool_rule):
-        graph = _chain_graph()
-        pool_rule(max_retries=2, backoff_base_s=0.01)
-        sched = GraphScheduler(3, policy=_KindPolicy({"tag"}))
-        assert sched.run(graph) == _expected()
-        assert sched.last_stats.exclusive_nodes == 2
-
-    def test_unknown_callables_default_concurrent(self):
-        # test doubles live outside the repro package: no facts id, so
-        # the policy cannot (and need not) constrain them
-        node = TaskNode(key="k", kind="unit", fn=_square, args=(1,))
-        assert function_fid(_square) is None
-        assert ConcurrencyPolicy(facts={"purity": {}}).concurrent(node)
-
-    def test_facts_drive_concurrency(self):
-        fid = function_fid(_node_dataset)
-        assert fid == "analysis/accuracy.py::_node_dataset"
-        node = TaskNode(key="dataset:gemm", kind="dataset-gen",
-                        fn=_node_dataset, args=("gemm",))
-        pure = ConcurrencyPolicy(
-            facts={"purity": {fid: {"pure": True, "ambient": []}}})
-        impure = ConcurrencyPolicy(
-            facts={"purity": {fid: {"pure": False}}})
-        ambient = ConcurrencyPolicy(
-            facts={"purity": {fid: {"pure": True, "ambient": ["env"]}}})
-        assert pure.concurrent(node)
-        assert not impure.concurrent(node)
-        assert not ambient.concurrent(node)
-
-    def test_shipped_facts_prove_pipeline_nodes_concurrent(self):
-        """The checked-in artifact must keep every graph builder's node
-        callable pure and ambient-free — otherwise that node serializes
-        (a lint node reading its own file would) and the overlap gate in
-        CI fails."""
-        policy = ConcurrencyPolicy()
-        assert policy.facts is not None, "determinism_facts.json missing"
-        targets = sorted({e["target"] for e in policy.facts["graph_nodes"]})
-        assert {"analysis/accuracy.py::_node_accuracy",
-                "analysis/accuracy.py::_node_dataset",
-                "analysis/observations.py::_run_observation",
-                "check/runner.py::_check_file",
-                "harness/sweep.py::_sweep_size",
-                "kernels/base.py::case_stats"} <= set(targets)
-        for fid in targets:
-            entry = policy.facts["purity"][fid]
-            assert entry["pure"] is True and not entry.get("ambient"), fid
-        node = TaskNode(key="dataset:gemm", kind="dataset-gen",
-                        fn=_node_dataset, args=("gemm",))
-        assert policy.concurrent(node)
-
-
-class TestFactsLoading:
-    """The facts artifact is parsed once per process and file version."""
-
-    @staticmethod
-    def count_reads(monkeypatch):
-        reads = []
-        read_bytes = Path.read_bytes
-
-        def counting(self):
-            reads.append(self)
-            return read_bytes(self)
-
-        monkeypatch.setattr(Path, "read_bytes", counting)
-        return reads
-
-    def test_unchanged_file_is_not_parsed_again(self, tmp_path,
-                                                monkeypatch):
-        path = tmp_path / "facts.json"
-        path.write_text(json.dumps({"purity": {}}))
-        reads = self.count_reads(monkeypatch)
-        first = load_facts(path)
-        assert first == {"purity": {}}
-        assert load_facts(path) is first
-        assert ConcurrencyPolicy(path=path).facts is first
-        assert reads == [path]
-
-    def test_rewritten_file_is_read_again(self, tmp_path, monkeypatch):
-        path = tmp_path / "facts.json"
-        path.write_text(json.dumps({"version": 1}))
-        reads = self.count_reads(monkeypatch)
-        assert load_facts(path) == {"version": 1}
-        # same size, newer modification time
-        path.write_text(json.dumps({"version": 2}))
-        st = path.stat()
-        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
-        assert load_facts(path) == {"version": 2}
-        # new size, same modification time
-        st = path.stat()
-        path.write_text(json.dumps({"version": 30}))
-        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
-        assert load_facts(path) == {"version": 30}
-        assert len(reads) == 3
-
-    def test_missing_or_bad_file_is_not_remembered(self, tmp_path):
-        path = tmp_path / "facts.json"
-        assert load_facts(path) is None
-        path.write_text("{not json")
-        assert load_facts(path) is None
-        path.write_text(json.dumps({"purity": {}}))
-        assert load_facts(path) == {"purity": {}}
-
-    def test_threads_racing_rewrites_end_on_the_last_version(self,
-                                                            tmp_path):
-        """Readers racing a writer may store an older document, but never
-        under the current file's stamp."""
-        path = tmp_path / "facts.json"
-        base_ns = path.parent.stat().st_mtime_ns
-
-        def publish(version):
-            # atomic replace with a distinct mtime per version, so no
-            # two versions share a stamp
-            tmp = tmp_path / "facts.tmp"
-            tmp.write_text(json.dumps({"version": version}))
-            os.utime(tmp, ns=(base_ns, base_ns + version * 10**9))
-            os.replace(tmp, path)
-
-        publish(0)
-        seen, done = [], threading.Event()
-
-        def reader():
-            while not done.is_set():
-                seen.append(load_facts(path))
-
-        readers = [threading.Thread(target=reader) for _ in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in readers:
-                t.start()
-            for version in range(1, 100):
-                publish(version)
-        finally:
-            done.set()
-            for t in readers:
-                t.join(timeout=10)
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in readers)
-        assert seen and all(isinstance(doc["version"], int) for doc in seen)
-        assert load_facts(path) == {"version": 99}
 
 
 class TestObservability:

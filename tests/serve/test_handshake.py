@@ -27,6 +27,7 @@ from repro.serve import (
 )
 from repro.serve.client import ServeConnectionError as _SCE
 from repro.serve.loadgen import ServerHost
+from repro.serve.protocol import is_handshake_line
 
 TOKEN = "hunter2"
 #: the identity each front end stamps on its handshake reply
@@ -121,6 +122,9 @@ class TestHandshakeRefusals:
         b'{"fabric": "one", "token": "hunter2"}\n',
         b'["fabric", 1]\n',
         b"\xff\xfe\x00garbage\x00\n",
+        # nested past json's recursion depth, yet within the size cap
+        pytest.param(b'{"fabric": 1, "x": ' + b"[" * 1200 + b"]" * 1200
+                     + b"}\n", id="deep-nesting"),
     ])
     def test_malformed_lines_are_refused(self, auth_service, junk):
         reply, = exchange(auth_service, junk)
@@ -149,6 +153,13 @@ class TestHandshakeRefusals:
                                  + b'{"kind":"ping"}\n', lines=2)
         assert refusal_code(refusal) == "bad_token"
         assert then == b""  # EOF: no service after a refusal
+
+
+def test_deep_nesting_is_not_a_handshake_line():
+    """A tokenless front end asks this of every line naming "fabric":
+    nesting past json's depth makes the line a query, not a crash."""
+    assert not is_handshake_line(
+        '{"fabric": 1, "x": ' + "[" * 1200 + "]" * 1200 + "}")
 
 
 class TestRouterHandshakeRefusals(TestHandshakeRefusals):

@@ -4,7 +4,11 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.gpu.specs import ALL_GPUS
+from repro.kernels.base import workload_names
 from repro.serve.protocol import (
     ERROR_CODES,
     ProtocolError,
@@ -79,6 +83,28 @@ class TestRequestValidation:
         ('{"kind": "whatif", "params": {"scales": {"tc_fp64": 2}, '
          '"variant": "turbo"}}', "bad_params"),
         ('{"kind": "metrics", "params": {"x": 1}}', "bad_params"),
+        # every number must be finite: json.loads reads NaN and Infinity,
+        # 1e400 as inf, and float() overflows on an integer past 1e308
+        ('{"kind": "ping", "deadline_s": NaN}', "bad_request"),
+        ('{"kind": "ping", "deadline_s": Infinity}', "bad_request"),
+        ('{"kind": "ping", "deadline_s": 1e400}', "bad_request"),
+        pytest.param('{"kind": "ping", "deadline_s": 1' + "0" * 400 + "}",
+                     "bad_request", id="deadline-past-float-range"),
+        ('{"kind": "whatif", "params": {"scales": {"dram_bw": NaN}}}',
+         "bad_params"),
+        ('{"kind": "whatif", "params": {"scales": {"dram_bw": Infinity}}}',
+         "bad_params"),
+        ('{"kind": "whatif", "params": {"scales": {"dram_bw": 1e400}}}',
+         "bad_params"),
+        pytest.param('{"kind": "whatif", "params": {"scales": '
+                     '{"dram_bw": 1' + "0" * 400 + "}}}", "bad_params",
+                     id="scale-past-float-range"),
+        # json.loads raises ValueError past its integer digit limit and
+        # RecursionError past its nesting depth
+        pytest.param('{"kind": "ping", "deadline_s": ' + "1" * 5000 + "}",
+                     "bad_request", id="integer-past-digit-limit"),
+        pytest.param('{"kind": "ping", "params": ' + "[" * 5000
+                     + "]" * 5000 + "}", "bad_request", id="deep-nesting"),
     ])
     def test_rejects(self, line, code):
         with pytest.raises(ProtocolError) as err:
@@ -103,6 +129,55 @@ class TestRequestValidation:
         assert p["scales"] == {"tc_fp64": 2.0}
         assert isinstance(p["scales"]["tc_fp64"], float)
         assert p["variant"] == "tc"
+
+
+#: every parameter name some query kind accepts
+_PARAM_NAMES = ["base", "gpu", "gpus", "repeats", "scales", "variant",
+                "workload", "workloads"]
+_NAMES = st.sampled_from(workload_names() + [g.name for g in ALL_GPUS]
+                         + ["h200", "nope", "tc", "cc", "turbo"])
+_NUMBERS = st.integers() | st.floats()  # NaN and infinities included
+_LEAVES = _NAMES | _NUMBERS
+#: a parameter's value: a leaf, a list of leaves, or a whatif-shaped map
+_PARAM_VALUES = _LEAVES | st.lists(_LEAVES, max_size=3) | st.dictionaries(
+    st.sampled_from(["dram_bw", "tc_fp64", "launch_overhead_s", "sms"]),
+    _LEAVES, max_size=3)
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=4)
+#: each envelope member takes any JSON value, weighted toward its own type
+_ENVELOPES = st.fixed_dictionaries(
+    {"kind": st.sampled_from(sorted(QUERY_KINDS)) | st.text(max_size=8)},
+    optional={
+        "params": st.dictionaries(st.sampled_from(_PARAM_NAMES),
+                                  _PARAM_VALUES, max_size=4),
+        "deadline_s": _NUMBERS | _ANY_JSON,
+        "fresh": st.booleans() | _ANY_JSON,
+        "id": st.text(max_size=6) | _ANY_JSON,
+    })
+
+
+class TestRequestFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(env=_ENVELOPES)
+    @example(env={"kind": "ping", "deadline_s": math.nan})
+    @example(env={"kind": "whatif",
+                  "params": {"scales": {"dram_bw": math.inf}}})
+    def test_decoded_requests_are_finite_and_canonical(self, env):
+        """A request envelope decodes to a ProtocolError or to a request
+        whose numbers are finite and whose params are canonical."""
+        try:
+            req = decode_request(json.dumps(env))
+        except ProtocolError:
+            return
+        assert req.deadline_s is None \
+            or (math.isfinite(req.deadline_s) and req.deadline_s > 0)
+        if req.kind == "whatif":
+            assert all(math.isfinite(v)
+                       for v in req.params["scales"].values())
+        assert normalize_params(req.kind, req.params) == req.params
 
 
 class TestResponseRoundTrip:
